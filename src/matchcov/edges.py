@@ -2,16 +2,22 @@
 
 b-invariance is only defined for removable edges, so EdgeClass.b_invariant is
 None (not False) on nonremovable edges; every_b_invariant_solitary treats None
-as not-b-invariant.  b(G) is computed once per report and reused across the
-per-edge loop, since b(G-e) dominates the cost anyway.
+as not-b-invariant.
+
+Every verdict comes from _edge_class, which works from the host's complete
+perfect-matching list: the matchings of G-e are the host's matchings that
+avoid e, and the matchings that contain e give the solitary count.  The list
+and b(G) are computed once per host, so each edge costs one decomposition of
+G-e (removable edges only) and no further matching search.
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graph import canonical_form, delete_edge, underlying_simple
-from .matching import count_pm_containing, is_matching_covered
-from .tightcut import b_count
+from .matching import (MatchingSet, _covered_by, count_pm_containing,
+                       enumerate_perfect_matchings, is_matching_covered)
+from .tightcut import decompose
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,7 @@ def is_removable(g, e):
 
 def is_b_invariant(g, e, b_of_g=None):
     """Removable and b(G-e) = b(G)."""
-    if not is_removable(g, e):
-        return False
-    if b_of_g is None:
-        b_of_g = b_count(g)
-    return b_count(delete_edge(g, e)) == b_of_g
+    return bool(classify_edge(g, e, b_of_g).b_invariant)
 
 
 def is_solitary(g, e):
@@ -58,22 +60,35 @@ def is_solitary(g, e):
 
 
 def classify_edge(g, e, b_of_g=None):
-    removable = is_removable(g, e)
+    """EdgeClass of edge e; G must be matching covered unless b_of_g is given."""
+    if not 0 <= e < g.m:
+        raise PreconditionError(f"edge index {e} out of range")
+    pms = enumerate_perfect_matchings(g)
+    if b_of_g is None:
+        b_of_g = decompose(g, pms).b
+    return _edge_class(g, e, pms, b_of_g)
+
+
+def _edge_class(g, e, pms, b_of_g):
+    """Classify edge e of g from g's complete MatchingSet pms and b(G)."""
+    bit = 1 << e
+    low = bit - 1
+    # drop bit e and shift the higher bits down: edge indices of delete_edge(g, e)
+    avoiding = tuple(p & low | p >> 1 & ~low for p in pms.matchings if not p & bit)
+    capped = min(len(pms) - len(avoiding), 2)
+    rest = delete_edge(g, e)
+    removable = _covered_by(rest, avoiding)
     b_inv = None
     if removable:
-        if b_of_g is None:
-            b_of_g = b_count(g)
-        b_inv = b_count(delete_edge(g, e)) == b_of_g
-    capped = count_pm_containing(g, e, cap=2)
+        b_inv = decompose(rest, MatchingSet(rest, avoiding, True)).b == b_of_g
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
 
 
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
-    if not is_matching_covered(g):
-        raise PreconditionError("classify_all requires a matching covered graph")
-    b_of_g = b_count(g)
-    classes = tuple(classify_edge(g, e, b_of_g) for e in range(g.m))
+    pms = enumerate_perfect_matchings(g)
+    b_of_g = decompose(g, pms).b
+    classes = tuple(_edge_class(g, e, pms, b_of_g) for e in range(g.m))
     return EdgeClassReport(
         host_certificate=canonical_form(g),
         classes=classes,
@@ -86,17 +101,7 @@ def classify_all(g):
 
 def every_b_invariant_solitary(g):
     """True iff each b-invariant edge is solitary (vacuously true if none)."""
-    b_of_g = None
-    for e in range(g.m):
-        if not is_removable(g, e):
-            continue
-        if b_of_g is None:
-            b_of_g = b_count(g)
-        if b_count(delete_edge(g, e)) != b_of_g:
-            continue
-        if not is_solitary(g, e):
-            return False
-    return True
+    return classify_all(g).every_b_invariant_solitary()
 
 
 def triangle_nonremovable_edges(g):

@@ -7,14 +7,17 @@ automorphism orbit as the vertex the canonical labeling would delete.  Each
 isomorphism class is produced exactly once, with no global seen-set, so the
 scan order is deterministic and levels are cheap to cache.
 
-Final-level filters (min degree, connectivity) are applied before the
-canonical-form call where possible; intermediate levels are always complete,
-since min degree is not monotone under vertex deletion.
+One loop, CanonicalAugmenter._augment, builds every level: it extends each
+parent by each orbit-representative neighborhood, applies the min-degree and
+connectivity filters, and runs the canonical-deletion test.  Cached
+intermediate levels call it with no filters, so they stay complete (min
+degree is not monotone under vertex deletion); final_level passes its
+filters, which prune children before their canonical-form call.
 """
 
 from . import _kernel
 from .errors import CapacityError
-from .graph import Graph, is_connected
+from .graph import Graph, _spans
 
 MAX_GENERATED_N = 10
 
@@ -59,37 +62,36 @@ class CanonicalAugmenter:
         self._levels = {1: [((0,), ())]}
 
     def _grow_to(self, n):
-        top = max(self._levels)
-        for k in range(top + 1, n + 1):
-            level = []
-            for parent_adj, autos in self._levels[k - 1]:
-                for s in _children(parent_adj, autos):
-                    child = self._accept(k, parent_adj, s)
-                    if child is not None:
-                        level.append(child)
-            self._levels[k] = level
+        for k in range(max(self._levels) + 1, n + 1):
+            self._levels[k] = self._augment(k)
 
-    @staticmethod
-    def _extend(k, parent_adj, s):
-        adj = [a | ((s >> i & 1) << (k - 1)) for i, a in enumerate(parent_adj)]
-        adj.append(s)
-        return tuple(adj)
-
-    @staticmethod
-    def _accept(k, parent_adj, s):
-        adj = CanonicalAugmenter._extend(k, parent_adj, s)
-        _, perm, orbits, gens = _kernel.canon_auto(k, adj)
-        # canonical deletion: the vertex at the last canonical position; the
-        # child survives only when the freshly added vertex is in its orbit
-        if orbits[k - 1] != orbits[perm[k - 1]]:
-            return None
-        return adj, gens
+    def _augment(self, n, min_degree=0, connected=False):
+        """Accepted children on n vertices of every level n-1 parent, as
+        (adjacency, automorphism generators), that pass the filters."""
+        out = []
+        for parent_adj, autos in self._levels[n - 1]:
+            # every parent vertex short of min_degree must gain the new edge
+            degs = [a.bit_count() for a in parent_adj]
+            if min(degs) < min_degree - 1:
+                continue
+            forced = sum(1 << i for i, d in enumerate(degs) if d < min_degree)
+            for s in _children(parent_adj, autos):
+                if (s & forced) != forced or s.bit_count() < min_degree:
+                    continue
+                adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
+                if connected and not _spans(adj, (1 << n) - 1):
+                    continue
+                _, perm, orbits, gens = _kernel.canon_auto(n, adj)
+                # canonical deletion: the vertex at the last canonical position;
+                # the child survives only when the freshly added vertex is in
+                # its orbit
+                if orbits[n - 1] == orbits[perm[n - 1]]:
+                    out.append((adj, gens))
+        return out
 
     def classes(self, n):
         """All isomorphism classes on n vertices, as adjacency tuples."""
-        if not 1 <= n <= MAX_GENERATED_N:
-            raise CapacityError(
-                f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}, got {n}")
+        _check_n(n)
         self._grow_to(n)
         return [adj for adj, _ in self._levels[n]]
 
@@ -100,54 +102,17 @@ class CanonicalAugmenter:
         computed; parents are still generated unfiltered, which keeps the
         augmentation complete.
         """
-        if not 1 <= n <= MAX_GENERATED_N:
-            raise CapacityError(
-                f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}, got {n}")
+        _check_n(n)
         if n == 1:
             return [] if min_degree > 0 else [(0,)]
         self._grow_to(n - 1)
-        out = []
-        for parent_adj, autos in self._levels[n - 1]:
-            if min_degree:
-                # every parent vertex short of min_degree must gain the new edge
-                forced = 0
-                feasible = True
-                for i, a in enumerate(parent_adj):
-                    deg = a.bit_count()
-                    if deg < min_degree - 1:
-                        feasible = False
-                        break
-                    if deg < min_degree:
-                        forced |= 1 << i
-                if not feasible:
-                    continue
-            else:
-                forced = 0
-            for s in _children(parent_adj, autos):
-                if min_degree and ((s & forced) != forced or s.bit_count() < min_degree):
-                    continue
-                adj = self._extend(n, parent_adj, s)
-                if connected and not _adj_connected(adj):
-                    continue
-                child = self._accept(n, parent_adj, s)
-                if child is not None:
-                    out.append(child[0])
-        return out
+        return [adj for adj, _ in self._augment(n, min_degree, connected)]
 
 
-def _adj_connected(adj):
-    n = len(adj)
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+def _check_n(n):
+    if not 1 <= n <= MAX_GENERATED_N:
+        raise CapacityError(
+            f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}, got {n}")
 
 
 def _adj_to_graph(adj):

@@ -85,13 +85,12 @@ def parse_graph6(text):
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = s.encode("ascii", errors="replace")
-    if not data:
+    if not s:
         raise Graph6Error("empty graph6 string")
-    for off, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"invalid graph6 byte {b}", offset=off)
-    vals = [b - 63 for b in data]
+    for off, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"invalid graph6 character {ch!r}", offset=off)
+    vals = [ord(ch) - 63 for ch in s]
     if vals[0] <= 62:
         n, body = vals[0], vals[1:]
     elif len(vals) >= 4 and vals[1] <= 62:
@@ -104,7 +103,7 @@ def parse_graph6(text):
     if len(body) != need:
         raise Graph6Error(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}",
-            offset=len(data),
+            offset=len(s),
         )
     bits = 0
     for v in body:
@@ -229,20 +228,22 @@ def add_edge(g, u, v):
 # ---------------------------------------------------------------------------
 
 def is_connected(g):
-    if g.n == 0:
-        return True
-    adj = g.adj
-    seen = 1
-    frontier = 1
+    return _spans(g.adj, (1 << g.n) - 1)
+
+
+def _spans(adj, alive):
+    """True iff the vertex bit set `alive` induces a connected subgraph of
+    the adjacency bitmasks `adj` (vacuously so when empty)."""
+    seen = frontier = alive & -alive
     while frontier:
         nxt = 0
         while frontier:
             v = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
             nxt |= adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & alive & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == alive
 
 
 def is_bipartite(g):
@@ -315,32 +316,15 @@ def is_three_connected(g):
         return False
     if not is_connected(g):
         return False
+    adj = g.adj
+    full = (1 << g.n) - 1
     for a in range(g.n):
-        if not _connected_without(g, {a}):
+        if not _spans(adj, full & ~(1 << a)):
             return False
         for b in range(a + 1, g.n):
-            if not _connected_without(g, {a, b}):
+            if not _spans(adj, full & ~(1 << a) & ~(1 << b)):
                 return False
     return True
-
-
-def _connected_without(g, removed):
-    adj = g.adj
-    alive = ((1 << g.n) - 1) & ~sum(1 << v for v in removed)
-    if alive == 0:
-        return True
-    start = (alive & -alive).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nxt |= adj[v]
-        frontier = nxt & alive & ~seen
-        seen |= frontier
-    return seen == alive
 
 
 def is_claw_free(g):

@@ -73,16 +73,18 @@ def count_pm_containing(g, e, cap=None):
 def is_matching_covered(g):
     """Connected, at least one edge, and every edge lies in some perfect matching."""
     _check_size(g)
-    if g.m == 0 or not is_connected(g):
-        return False
     if g.n % 2:
         return False
     eu, ev = g.edge_arrays
-    pms = _kernel.enumerate_pms(g.n, eu, ev, 0)
+    return _covered_by(g, _kernel.enumerate_pms(g.n, eu, ev, 0))
+
+
+def _covered_by(g, matchings):
+    """is_matching_covered(g), given the complete list of g's perfect matchings."""
     covered = 0
-    for p in pms:
+    for p in matchings:
         covered |= p
-    return covered == (1 << g.m) - 1
+    return g.m > 0 and covered == (1 << g.m) - 1 and is_connected(g)
 
 
 def is_bicritical(g):

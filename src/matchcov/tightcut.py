@@ -13,7 +13,7 @@ from itertools import combinations
 from . import _kernel
 from .errors import CapacityError, PreconditionError
 from .graph import canonical_form, contract, is_bipartite
-from .matching import enumerate_perfect_matchings, is_matching_covered
+from .matching import _covered_by, enumerate_perfect_matchings
 
 MAX_TIGHT_SCAN_N = 20
 
@@ -81,9 +81,9 @@ def find_nontrivial_tight_cut(g, pms=None, rng=None):
     if g.n > MAX_TIGHT_SCAN_N:
         raise CapacityError(f"tight-cut scan supports n <= {MAX_TIGHT_SCAN_N}, got {g.n}")
     if pms is None:
-        if not is_matching_covered(g):
-            raise PreconditionError("tight-cut search requires a matching covered graph")
         pms = enumerate_perfect_matchings(g)
+        if not _covered_by(g, pms.matchings):
+            raise PreconditionError("tight-cut search requires a matching covered graph")
     eu, ev = g.edge_arrays
     x = _kernel.first_tight_cut(eu, ev, pms.matchings, _odd_subsets(g.n, rng))
     if x < 0:
@@ -91,21 +91,27 @@ def find_nontrivial_tight_cut(g, pms=None, rng=None):
     return make_cut(g, x)
 
 
-def decompose(g, rng=None):
+def decompose(g, pms=None, rng=None):
     """Tight cut decomposition into bricks and braces.
 
     Recursively contracts along nontrivial tight cuts; b counts nonbipartite
     pieces.  The piece list order follows the recursion (X side first).
+    pms, when given, is the complete MatchingSet of g; it replaces the
+    enumeration of g itself, not of the pieces.
     """
-    if not is_matching_covered(g):
-        raise PreconditionError("decompose requires a matching covered graph")
+    if pms is None:
+        pms = enumerate_perfect_matchings(g)
+    if not (pms.complete and _covered_by(g, pms.matchings)):
+        raise PreconditionError(
+            "decomposition and edge classification require a matching covered graph")
     pieces = []
     trace = []
 
-    def rec(h):
+    def rec(h, pms=None):
         cut = None
         if h.n >= 6:
-            pms = enumerate_perfect_matchings(h)
+            if pms is None:
+                pms = enumerate_perfect_matchings(h)
             cut = find_nontrivial_tight_cut(h, pms=pms, rng=rng)
         if cut is None:
             pieces.append((h, canonical_form(h), not is_bipartite(h)))
@@ -118,7 +124,7 @@ def decompose(g, rng=None):
         rec(g1)
         rec(g2)
 
-    rec(g)
+    rec(g, pms)
     b = sum(1 for _, _, nb in pieces if nb)
     return DecompositionResult(tuple(pieces), b, len(pieces) - b, tuple(trace))
 

@@ -99,11 +99,13 @@ def test_expected_set_override_controls_the_verdict():
 
 def test_census_ingested_corpus(tmp_path):
     path = tmp_path / "corpus.g6"
-    # K4 twice (dedup by canonical key), the prism, and one junk line
-    path.write_text("C~\nC~\nELv_\nnot-a-graph\x7f\n")
+    # K4 twice (dedup by canonical key), the prism, one junk line, and a
+    # line with one non-ASCII byte that must not be read as the graph "EL?o"
+    path.write_bytes(b"C~\nC~\nELv_\nnot-a-graph\x7f\nEL\xe9o\n")
     summary, records = run_census(
         CensusConfig(inputs=(str(path),), checks=("thm11",)))
-    assert len(summary.skipped_inputs) == 1
+    assert [lineno for _, lineno, _ in summary.skipped_inputs] == [4, 5]
+    assert summary.totals["input"] == 3
     assert [r.n for r in records] == [4, 6]
     assert summary.thm11_pass is True  # both graphs are excluded exceptions
 

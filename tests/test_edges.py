@@ -9,8 +9,8 @@ from matchcov.edges import (classify_all, classify_edge, every_b_invariant_solit
                             is_b_invariant, is_removable, is_solitary,
                             triangle_nonremovable_edges)
 from matchcov.errors import PreconditionError
-from matchcov.graph import build, delete_edge
-from matchcov.matching import is_matching_covered
+from matchcov.graph import build, contract, delete_edge
+from matchcov.matching import count_pm_containing, is_matching_covered
 
 import oracles
 
@@ -85,24 +85,53 @@ def test_classification_matches_reference_pipeline():
     rng = random.Random(307)
     checked = 0
     while checked < 25:
-        n = rng.choice((4, 6))
+        n = rng.choice((4, 6, 8))
         edges = oracles.random_simple_graph(rng, n, rng.uniform(0.4, 0.9))
         g = build(n, edges)
         if not is_matching_covered(g):
             continue
         checked += 1
-        h = oracles.to_nx(g)
-        b_g = oracles.nx_b_count(h)
-        ms = oracles.nx_pms(h)
-        for e in range(g.m):
-            u, v = g.edges[e]
-            he = oracles.to_nx(delete_edge(g, e))
-            ref_removable = oracles.nx_matching_covered(he)
-            assert is_removable(g, e) == ref_removable
-            ref_solitary = sum(1 for m in ms if (u, v) in m) == 1
-            assert is_solitary(g, e) == ref_solitary
-            if ref_removable:
-                assert is_b_invariant(g, e) == (oracles.nx_b_count(he) == b_g)
+        ms = oracles.nx_pms(oracles.to_nx(g))
+        rep = _check_against_oracles(g)
+        for c in rep.classes:
+            u, v = g.edges[c.edge]
+            count = sum(1 for m in ms if (u, v) in m)
+            assert c.pm_count_capped == min(count, 2)
+            assert is_solitary(g, c.edge) == c.solitary == (count == 1)
+            assert is_removable(g, c.edge) == c.removable
+            if c.removable:
+                assert is_b_invariant(g, c.edge) == c.b_invariant
+    # multigraphs: contracting three vertices creates parallel edges, whose
+    # endpoints do not identify them, so only the edge-index bookkeeping of
+    # the reused host matchings can get them right
+    multi = 0
+    while multi < 10:
+        n = rng.choice((6, 8))
+        g = build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.5, 0.9)))
+        if not is_matching_covered(g):
+            continue
+        h, _ = contract(g, rng.sample(range(n), 3))
+        if h.is_simple() or not is_matching_covered(h):
+            continue
+        multi += 1
+        for c in _check_against_oracles(h).classes:
+            count = count_pm_containing(h, c.edge)
+            assert c.pm_count_capped == min(count, 2)
+            assert c.solitary == (count == 1)
+
+
+def _check_against_oracles(g):
+    """classify_all(g), after checking removable and b_invariant per edge
+    against the networkx oracles."""
+    rep = classify_all(g)
+    b_g = oracles.nx_b_count(oracles.to_nx(g))
+    assert [c.edge for c in rep.classes] == list(range(g.m))
+    for c in rep.classes:
+        he = oracles.to_nx(delete_edge(g, c.edge))
+        assert c.removable == oracles.nx_matching_covered(he)
+        want = oracles.nx_b_count(he) == b_g if c.removable else None
+        assert c.b_invariant == want
+    return rep
 
 
 def test_report_is_edge_ordered_and_consistent():
@@ -114,8 +143,20 @@ def test_report_is_edge_ordered_and_consistent():
 
 
 def test_classify_requires_matching_covered():
+    p4 = build(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(PreconditionError):
-        classify_all(build(4, [(0, 1), (1, 2), (2, 3)]))
+        classify_all(p4)
+    with pytest.raises(PreconditionError):
+        every_b_invariant_solitary(p4)
+    # the chord 0-2 of the 4-cycle lies in no perfect matching, so G is not
+    # matching covered, while G minus the chord (the 4-cycle) is
+    g = build(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    e = g.edge_index(0, 2)
+    assert is_removable(g, e)
+    with pytest.raises(PreconditionError):
+        classify_edge(g, e)
+    with pytest.raises(PreconditionError):
+        is_b_invariant(g, e)
 
 
 def test_triangle_edges_k4():

@@ -39,6 +39,13 @@ def test_min_degree_connected_filter():
     assert want == 3
     for g in got:
         assert g.min_degree() >= 3 and is_connected(g)
+    # the filtered final level is exactly the filtered full level
+    aug = CanonicalAugmenter()
+    for n in (6, 7):
+        filtered = generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug)
+        full = generate_all_graphs(n, augmenter=aug)
+        assert sorted(map(canonical_form, filtered)) == sorted(
+            canonical_form(g) for g in full if g.min_degree() >= 3 and is_connected(g))
 
 
 def _keeps(n, edges):

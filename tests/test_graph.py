@@ -53,6 +53,9 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("C")  # truncated body
     with pytest.raises(Graph6Error):
         parse_graph6("C\x19")  # byte outside 63..126
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("ELéo")  # non-ASCII, not read as "EL?o"
+    assert exc.value.offset == 2
 
 
 def test_graph6_roundtrip_matches_reference():
