@@ -272,10 +272,24 @@ def first_tight_cut(eu, ev, pms, subsets):
     """First subset (by given order) whose cut meets every matching once.
 
     pms are edge bitmasks; subsets are vertex bitmasks.  Returns the subset
-    mask or -1 if none is tight.
+    mask or -1 if none is tight.  The boundary of X is the XOR of the
+    incidence masks of X's vertices: an edge with both ends in X cancels, a
+    loop never appears, and parallel edges keep their own bits.
     """
+    nv = max(max(eu, default=-1), max(ev, default=-1)) + 1
+    inc = [0] * nv
+    for i in range(len(eu)):
+        bit = 1 << i
+        inc[eu[i]] ^= bit
+        inc[ev[i]] ^= bit
+    full = (1 << nv) - 1       # vertices from nv up have no edges
     for x in subsets:
-        bnd = boundary_mask(eu, ev, x)
+        bnd = 0
+        rest = x & full
+        while rest:
+            low = rest & -rest
+            bnd ^= inc[low.bit_length() - 1]
+            rest ^= low
         for p in pms:
             if (p & bnd).bit_count() != 1:
                 break

@@ -103,7 +103,9 @@ def ingest_graph6(path):
     """
     graphs = []
     skips = []
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
+    # latin-1 maps each byte to one character, so a skip message names the
+    # offending byte at its byte offset
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -89,7 +89,7 @@ def parse_graph6(text):
         raise Graph6Error("empty graph6 string")
     for off, ch in enumerate(s):
         if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"invalid graph6 character {ch!r}", offset=off)
+            raise Graph6Error(f"invalid graph6 character {ch!a}", offset=off)
     vals = [ord(ch) - 63 for ch in s]
     if vals[0] <= 62:
         n, body = vals[0], vals[1:]

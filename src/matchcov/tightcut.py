@@ -3,11 +3,17 @@
 The nontrivial tight-cut search is exhaustive over odd vertex subsets, using
 the complete perfect-matching list as bit vectors.  The deterministic scan
 order (|X| ascending, then numeric value of the bit set) makes decomposition
-traces reproducible; an optional RNG shuffles the scan order so the Lovasz
-invariance of the resulting brick/brace multiset can be tested.
+traces reproducible; it is built once per vertex count and cached.  An
+optional RNG shuffles a copy of the scan order so the Lovasz invariance of
+the resulting brick/brace multiset can be tested.
+
+decompose and b_count share one contraction recursion (_contract_pieces).
+Only decompose labels the pieces canonically; b_count just counts the
+nonbipartite ones, which is all edge classification needs.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import _kernel
@@ -59,17 +65,29 @@ def is_tight(g, x, pms):
     return all((m & cut.boundary).bit_count() == 1 for m in pms.matchings)
 
 
-def _odd_subsets(n, rng=None):
-    """Candidate nontrivial cut shores: odd |X|, 3 <= |X| <= n-3, |X| <= n/2."""
+@cache
+def _scan_order(n):
+    """The deterministic scan order for n, built once: a tuple of vertex masks."""
     subsets = []
     for size in range(3, n // 2 + 1, 2):
         if size > n - 3:
             break
         subsets.extend(sorted(sum(1 << v for v in comb)
                               for comb in combinations(range(n), size)))
-    if rng is not None:
-        rng.shuffle(subsets)
-    return subsets
+    return tuple(subsets)
+
+
+def _odd_subsets(n, rng=None):
+    """Candidate nontrivial cut shores: odd |X|, 3 <= |X| <= n-3, |X| <= n/2.
+
+    Without an rng this is the cached deterministic order for n; with one it
+    is a shuffled copy, so the cached order never changes.
+    """
+    if rng is None:
+        return _scan_order(n)
+    shuffled = list(_scan_order(n))
+    rng.shuffle(shuffled)
+    return shuffled
 
 
 def find_nontrivial_tight_cut(g, pms=None, rng=None):
@@ -91,13 +109,13 @@ def find_nontrivial_tight_cut(g, pms=None, rng=None):
     return make_cut(g, x)
 
 
-def decompose(g, pms=None, rng=None):
-    """Tight cut decomposition into bricks and braces.
+def _contract_pieces(g, pms=None, rng=None):
+    """The contraction recursion behind decompose and b_count.
 
-    Recursively contracts along nontrivial tight cuts; b counts nonbipartite
-    pieces.  The piece list order follows the recursion (X side first).
-    pms, when given, is the complete MatchingSet of g; it replaces the
-    enumeration of g itself, not of the pieces.
+    Returns ([(piece, nonbipartite)], trace) with pieces in recursion order
+    (X side first) and one cut per contraction step.  pms, when given, is the
+    complete MatchingSet of g; it replaces the enumeration of g itself, not of
+    the pieces.
     """
     if pms is None:
         pms = enumerate_perfect_matchings(g)
@@ -114,7 +132,7 @@ def decompose(g, pms=None, rng=None):
                 pms = enumerate_perfect_matchings(h)
             cut = find_nontrivial_tight_cut(h, pms=pms, rng=rng)
         if cut is None:
-            pieces.append((h, canonical_form(h), not is_bipartite(h)))
+            pieces.append((h, not is_bipartite(h)))
             return
         trace.append(cut)
         xs = cut.vertices()
@@ -125,10 +143,27 @@ def decompose(g, pms=None, rng=None):
         rec(g2)
 
     rec(g, pms)
-    b = sum(1 for _, _, nb in pieces if nb)
-    return DecompositionResult(tuple(pieces), b, len(pieces) - b, tuple(trace))
+    return pieces, trace
 
 
-def b_count(g):
-    """Number of bricks in the tight cut decomposition."""
-    return decompose(g).b
+def decompose(g, pms=None, rng=None):
+    """Tight cut decomposition into bricks and braces.
+
+    Recursively contracts along nontrivial tight cuts; b counts nonbipartite
+    pieces, and each piece carries its canonical certificate.  The piece list
+    order follows the recursion (X side first).  pms, when given, is the
+    complete MatchingSet of g.
+    """
+    found, trace = _contract_pieces(g, pms, rng)
+    pieces = tuple((h, canonical_form(h), nb) for h, nb in found)
+    b = sum(1 for _, nb in found if nb)
+    return DecompositionResult(pieces, b, len(pieces) - b, tuple(trace))
+
+
+def b_count(g, pms=None):
+    """Number of bricks in the tight cut decomposition; labels no piece.
+
+    pms, when given, is the complete MatchingSet of g.
+    """
+    found, _ = _contract_pieces(g, pms)
+    return sum(1 for _, nb in found if nb)

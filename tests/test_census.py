@@ -99,12 +99,15 @@ def test_expected_set_override_controls_the_verdict():
 
 def test_census_ingested_corpus(tmp_path):
     path = tmp_path / "corpus.g6"
-    # K4 twice (dedup by canonical key), the prism, one junk line, and a
-    # line with one non-ASCII byte that must not be read as the graph "EL?o"
-    path.write_bytes(b"C~\nC~\nELv_\nnot-a-graph\x7f\nEL\xe9o\n")
+    # K4 twice (dedup by canonical key), the prism, one junk line, a line
+    # with one non-ASCII byte that must not be read as the graph "EL?o", and
+    # one with a two-byte UTF-8 character whose first byte is named
+    path.write_bytes(b"C~\nC~\nELv_\nnot-a-graph\x7f\nEL\xe9o\nEL\xc3\xa9o\n")
     summary, records = run_census(
         CensusConfig(inputs=(str(path),), checks=("thm11",)))
-    assert [lineno for _, lineno, _ in summary.skipped_inputs] == [4, 5]
+    assert [lineno for _, lineno, _ in summary.skipped_inputs] == [4, 5, 6]
+    last = summary.skipped_inputs[-1][2]
+    assert "'\\xc3'" in last and "(byte offset 2)" in last
     assert summary.totals["input"] == 3
     assert [r.n for r in records] == [4, 6]
     assert summary.thm11_pass is True  # both graphs are excluded exceptions

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import matchcov._kernel
 from matchcov.catalog import FAMILY_G, catalog
 from matchcov.edges import (classify_all, classify_edge, every_b_invariant_solitary,
                             is_b_invariant, is_removable, is_solitary,
@@ -140,6 +141,24 @@ def test_report_is_edge_ordered_and_consistent():
     assert [c.edge for c in rep.classes] == list(range(g.m))
     assert rep.removable == sum(c.removable for c in rep.classes)
     assert rep.solitary == sum(c.solitary for c in rep.classes)
+
+
+def test_classification_labels_only_the_host(monkeypatch):
+    """b(G-e) needs no canonical label: the host certificate is the only one."""
+    calls = []
+    labeler = matchcov._kernel.canon_auto
+
+    def counting(n, adj):
+        calls.append(n)
+        return labeler(n, adj)
+
+    monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
+    for name in ("W6_PLUSPLUS", "F3"):   # F3: a claw-free brick on 8 vertices
+        g = catalog(name)
+        calls.clear()
+        rep = classify_all(g)
+        assert rep.removable > 0, name
+        assert calls == [g.n], name
 
 
 def test_classify_requires_matching_covered():

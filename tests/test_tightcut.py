@@ -1,14 +1,17 @@
 """Tight cuts, decomposition, and brick counts."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from matchcov.catalog import catalog
+from matchcov._kernel import pykernel
+from matchcov.catalog import catalog, names
 from matchcov.errors import PreconditionError
-from matchcov.graph import build, canonical_form, delete_edge, is_isomorphic, underlying_simple
+from matchcov.graph import (build, canonical_form, contract, delete_edge, is_isomorphic,
+                            underlying_simple)
 from matchcov.matching import enumerate_perfect_matchings, is_matching_covered
-from matchcov.tightcut import (b_count, decompose, find_nontrivial_tight_cut,
+from matchcov.tightcut import (_odd_subsets, b_count, decompose, find_nontrivial_tight_cut,
                                is_tight, make_cut)
 
 import oracles
@@ -123,3 +126,87 @@ def test_decomposition_invariance_under_scan_order():
 def test_decompose_requires_matching_covered():
     with pytest.raises(PreconditionError):
         decompose(build(4, [(0, 1), (1, 2), (2, 3)]))
+
+
+def _reference_first_tight_cut(eu, ev, pms, subsets):
+    """The per-edge scan: a boundary_mask per subset, then every matching."""
+    for x in subsets:
+        bnd = pykernel.boundary_mask(eu, ev, x)
+        if all((p & bnd).bit_count() == 1 for p in pms):
+            return x
+    return -1
+
+
+def _covered_graphs(rng, count, multi):
+    """Matching-covered graphs on 6-10 vertices; with multi, contractions of
+    three vertices that carry parallel edges."""
+    found = 0
+    while found < count:
+        n = rng.choice((8, 10) if multi else (6, 8, 10))
+        g = build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.3, 0.8)))
+        if multi:
+            g, _ = contract(g, rng.sample(range(n), 3))
+            if g.is_simple():
+                continue
+        if not is_matching_covered(g):
+            continue
+        found += 1
+        yield g
+
+
+def test_python_scan_matches_per_edge_reference():
+    rng = random.Random(431)
+    outcomes = set()
+    graphs = list(_covered_graphs(rng, 30, False)) + list(_covered_graphs(rng, 15, True))
+    for g in graphs:
+        eu, ev = g.edge_arrays
+        pms = enumerate_perfect_matchings(g).matchings
+        orders = [_odd_subsets(g.n)]
+        for _ in range(3):
+            shuffled = list(orders[0])
+            rng.shuffle(shuffled)
+            orders.append(shuffled)
+        for subsets in orders:
+            got = pykernel.first_tight_cut(eu, ev, pms, subsets)
+            assert got == _reference_first_tight_cut(eu, ev, pms, subsets)
+            outcomes.add(got >= 0)
+    assert outcomes == {True, False}   # both tight and cut-free hosts were seen
+
+
+def test_python_scan_tolerates_vertices_without_edges():
+    # a hexagon on 0, 1, 3, 4, 5, 6 plus a loop at 3: vertex 2 and everything
+    # above 6 have no edge, and the loop is never on a cut
+    ring = (0, 1, 3, 4, 5, 6)
+    eu = list(ring)
+    ev = list(ring[1:] + ring[:1])
+    pms = pykernel.enumerate_pms(6, [ring.index(v) for v in eu],
+                                 [ring.index(v) for v in ev])
+    eu.append(3)
+    ev.append(3)
+    subsets = [sum(1 << v for v in comb) for size in (1, 3, 5)
+               for comb in combinations(range(10), size)]
+    for order in (subsets, subsets[::-1], [x for x in subsets if x & 0b1110000100]):
+        assert (pykernel.first_tight_cut(eu, ev, pms, order)
+                == _reference_first_tight_cut(eu, ev, pms, order))
+    assert pykernel.first_tight_cut(eu, ev, pms, [1 << 2, 1 << 9]) == -1
+    assert pykernel.first_tight_cut(eu, ev, [], [1 << 9]) == 1 << 9
+
+
+def test_b_count_agrees_with_decompose():
+    for name in names():
+        g = catalog(name)
+        assert b_count(g) == decompose(g).b, name
+    for g in _covered_graphs(random.Random(433), 12, True):
+        assert b_count(g) == decompose(g).b
+        assert b_count(g, enumerate_perfect_matchings(g)) == decompose(g).b
+
+
+def test_shuffled_scan_leaves_the_cached_order_intact():
+    g = catalog("W6_PLUSPLUS")
+    gp = delete_edge(g, g.edge_index(3, 4))   # two tight shores of size 3
+    order = _odd_subsets(gp.n)
+    before = decompose(gp).trace
+    for seed in range(8):
+        decompose(gp, rng=random.Random(seed))
+    assert decompose(gp).trace == before
+    assert _odd_subsets(gp.n) == order == tuple(sorted(order))
