@@ -2,7 +2,8 @@
 
 The hot kernels (canonical labeling, matching search, claw detection, the
 tight-cut subset scan) exist twice: a Cython extension (ckernel) and a pure
-Python twin (pykernel) with the identical API.  The compiled backend is used
+Python twin (pykernel) with the same results.  Callers use the functions
+defined here, which choose the backend per call.  The compiled backend is used
 when importable; set MATCHCOV_KERNEL=py or =c to force one.
 """
 
@@ -37,14 +38,6 @@ def canon_auto(n, adj):
     if _impl is not _py and n > _C_MAX_CANON_N:
         return _py.canon_auto(n, adj)
     return _impl.canon_auto(n, adj)
-
-
-def canon_full(n, adj):
-    return canon_auto(n, adj)[:3]
-
-
-def canon_cert(n, adj):
-    return canon_auto(n, adj)[0]
 
 
 def enumerate_pms(n, eu, ev, cap=0):

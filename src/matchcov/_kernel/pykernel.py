@@ -1,9 +1,11 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
-The compiled kernel (ckernel) mirrors this module's API exactly.  Everything
-here works on primitive data: a vertex count plus either per-vertex neighbor
-bitmasks (simple adjacency) or parallel edge-endpoint arrays, so both backends
-stay byte-compatible and the rest of the package never touches backend details.
+The compiled kernel (ckernel) provides every function defined here, with
+byte-identical results; it also still defines canon_full and canon_cert,
+which nothing calls.  Everything here works on primitive data: a vertex count
+plus either per-vertex neighbor bitmasks (simple adjacency) or parallel
+edge-endpoint arrays, so both backends stay byte-compatible and the rest of
+the package never touches backend details.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
@@ -149,18 +151,10 @@ def canon_auto(n, adj):
     return best[0], tuple(best[1]), orbits, tuple(autos)
 
 
-def canon_full(n, adj):
-    return canon_auto(n, adj)[:3]
-
-
 def _normalize(vals):
     order = sorted(set(vals))
     rank = {s: i for i, s in enumerate(order)}
     return [rank[v] for v in vals]
-
-
-def canon_cert(n, adj):
-    return canon_auto(n, adj)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +201,7 @@ def enumerate_pms(n, eu, ev, cap=0):
 
 def count_pms(n, eu, ev, cap=0):
     """Number of perfect matchings, early-exiting at cap (0 = exact)."""
-    if n % 2:
-        return 0
-    if n == 0:
-        return 1
-    inc = _incidence(n, eu, ev)
-    total = 0
-
-    def rec(free):
-        nonlocal total
-        if free == 0:
-            total += 1
-            return cap and total >= cap
-        v = (free & -free).bit_length() - 1
-        for i in inc[v]:
-            o = eu[i] ^ ev[i] ^ v
-            if o != v and free >> o & 1:
-                if rec(free & ~((1 << v) | (1 << o))):
-                    return True
-        return False
-
-    rec((1 << n) - 1)
-    return total
+    return len(enumerate_pms(n, eu, ev, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,25 @@ verdicts are supported:
   thm11  every brick other than K4, the prism, R8 and the Petersen graph has
          at least two b-invariant edges.
 
-Records are keyed and sorted by canonical graph6, so reports are byte-stable
-across runs and worker counts.  The cache is an append-only JSONL file keyed
-by the same string.
+Each surviving graph is canonically labeled once, in the funnel; that
+canonical graph6 keys its record, the cache and the report order, so reports
+are byte-stable across runs and worker counts.  The row schema lives in
+CensusRecord alone: classification returns one, a cache hit becomes one, and
+the report lines and cache lines are written from its fields.  The cache is
+an append-only JSONL file with one line per record, without the tags.
 """
 
 import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .catalog import FAMILY_G, catalog
 from .edges import classify_all
 from .errors import CapacityError, Graph6Error, MatchcovError
-from .generate import CanonicalAugmenter, generate_all_graphs
-from .graph import canonical_graph6, is_claw_free, is_connected, is_three_connected, parse_graph6
+from .generate import MAX_GENERATED_N, CanonicalAugmenter, generate_all_graphs
+from .graph import (Graph, canonical_graph6, is_claw_free, is_connected,
+                    is_three_connected, parse_graph6)
 from .matching import is_bicritical
 
 JOBS_ENV_VAR = "MATCHCOV_JOBS"
@@ -58,8 +62,8 @@ class CensusConfig:
         bad = [c for c in self.checks if c not in ("main", "thm11")]
         if bad:
             raise MatchcovError(f"unknown checks: {bad}")
-        if self.max_n and not 1 <= self.max_n <= 10:
-            raise CapacityError("built-in generation supports max_n <= 10")
+        if self.max_n and not 1 <= self.max_n <= MAX_GENERATED_N:
+            raise CapacityError(f"built-in generation supports max_n <= {MAX_GENERATED_N}")
         if not self.max_n and not self.inputs:
             raise MatchcovError("census needs a built-in max_n or graph6 input files")
         if self.out_format not in ("jsonl", "csv"):
@@ -132,20 +136,12 @@ def family_g_certs(max_n=None):
 
 
 def _classify_worker(payload):
-    n, edges = payload
-    from .graph import Graph
-    g = Graph(n, tuple(edges))
-    report = classify_all(g)
-    return {
-        "g6": canonical_graph6(g),
-        "n": n,
-        "m": len(edges),
-        "claw_free": is_claw_free(g),
-        "brick": True,
-        "b_invariant": report.b_invariant,
-        "solitary": report.solitary,
-        "every_b_invariant_solitary": report.every_b_invariant_solitary(),
-    }
+    g6, claw_free, n, edges = payload
+    report = classify_all(Graph(n, edges))
+    return CensusRecord(
+        g6=g6, n=n, m=len(edges), claw_free=claw_free, brick=True,
+        b_invariant=report.b_invariant, solitary=report.solitary,
+        every_b_invariant_solitary=report.every_b_invariant_solitary())
 
 
 def _load_cache(path):
@@ -161,7 +157,13 @@ def _load_cache(path):
     return cache
 
 
-def run_census(cfg, expected_g6=None, progress=None):
+def _cache_line(rec):
+    row = asdict(rec)
+    del row["tags"]             # tags depend on the run's verdicts, not the graph
+    return json.dumps(row, sort_keys=True) + "\n"
+
+
+def run_census(cfg, expected_g6=None):
     """Run the pipeline and verdicts; returns (VerdictSummary, records).
 
     expected_g6 overrides the expected main-theorem set (test hook for the
@@ -172,22 +174,20 @@ def run_census(cfg, expected_g6=None, progress=None):
               "three_connected": 0, "brick": 0, "claw_free_brick": 0}
     skipped = []
     errors = []
-    survivors = []
+    # canonical graph6 -> (claw_free, graph); a repeated graph is classified once
+    survivors = {}
     max_n_seen = 0
 
-    def feed(graph_iter, prefiltered=False):
+    def feed(graph_iter):
         nonlocal max_n_seen
         for g in graph_iter:
             totals["input"] += 1
             max_n_seen = max(max_n_seen, g.n)
-            if not prefiltered:
-                if not is_connected(g):
-                    continue
-                totals["connected"] += 1
-                if g.min_degree() < 3:
-                    continue
-            else:
-                totals["connected"] += 1
+            if not is_connected(g):
+                continue
+            totals["connected"] += 1
+            if g.min_degree() < 3:
+                continue
             totals["min_degree_3"] += 1
             if g.n % 2:
                 continue  # bricks have perfect matchings, hence even order
@@ -206,15 +206,12 @@ def run_census(cfg, expected_g6=None, progress=None):
                 totals["claw_free_brick"] += 1
             if cfg.claw_free_only and not cf:
                 continue
-            survivors.append(g)
-            if progress:
-                progress(g)
+            survivors[canonical_graph6(g)] = (cf, g)
 
     if cfg.max_n:
         aug = CanonicalAugmenter()
         for n in range(1, cfg.max_n + 1):
-            feed(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug),
-                 prefiltered=True)
+            feed(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug))
         max_n_seen = max(max_n_seen, cfg.max_n)
     for path in cfg.inputs:
         graphs, skips = ingest_graph6(path)
@@ -222,14 +219,13 @@ def run_census(cfg, expected_g6=None, progress=None):
         feed(graphs)
 
     cache = _load_cache(cfg.cache_path)
+    records = []
     payloads = []
-    rows = []
-    for g in survivors:
-        key = canonical_graph6(g)
+    for key, (cf, g) in survivors.items():
         if key in cache:
-            rows.append(dict(cache[key]))
+            records.append(CensusRecord(**cache[key]))
         else:
-            payloads.append((g.n, tuple(g.edges)))
+            payloads.append((key, cf, g.n, g.edges))
 
     if payloads:
         if cfg.jobs > 1:
@@ -237,27 +233,21 @@ def run_census(cfg, expected_g6=None, progress=None):
                 fresh = pool.map(_classify_worker, payloads, chunksize=8)
         else:
             fresh = [_classify_worker(p) for p in payloads]
-        rows.extend(fresh)
+        records.extend(fresh)
         if cfg.cache_path:
             with open(cfg.cache_path, "a", encoding="utf-8") as fh:
-                for row in fresh:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-    # dedupe by canonical key (ingested corpora may repeat graphs)
-    by_key = {}
-    for row in rows:
-        by_key[row["g6"]] = row
-    rows = [by_key[k] for k in sorted(by_key)]
+                fh.writelines(_cache_line(rec) for rec in fresh)
+    records.sort(key=lambda rec: rec.g6)   # the verdict tuples below keep this order
 
     summary = VerdictSummary(totals=totals, max_n_seen=max_n_seen,
                              skipped_inputs=tuple(skipped), errors=tuple(errors))
 
     trivial_bricks = _excluded_g6(("K4", "C6BAR"))
     if "main" in cfg.checks:
-        have = tuple(sorted(
-            row["g6"] for row in rows
-            if row["claw_free"] and row["g6"] not in trivial_bricks
-            and row["every_b_invariant_solitary"]))
+        have = tuple(
+            rec.g6 for rec in records
+            if rec.claw_free and rec.g6 not in trivial_bricks
+            and rec.every_b_invariant_solitary)
         want = tuple(sorted(expected_g6)) if expected_g6 is not None \
             else family_g_certs(max_n_seen or None)
         summary.main_property_g6 = have
@@ -266,26 +256,22 @@ def run_census(cfg, expected_g6=None, progress=None):
 
     if "thm11" in cfg.checks:
         exceptions = _excluded_g6(("K4", "C6BAR", "R8", "PETERSEN"))
-        violations = tuple(sorted(
-            row["g6"] for row in rows
-            if row["g6"] not in exceptions and row["b_invariant"] < 2))
+        violations = tuple(
+            rec.g6 for rec in records
+            if rec.g6 not in exceptions and rec.b_invariant < 2)
         summary.thm11_violations = violations
         summary.thm11_pass = not violations
 
-    records = tuple(_row_to_record(row, summary) for row in rows)
-    return summary, records
+    return summary, tuple(_tagged(rec, summary) for rec in records)
 
 
-def _row_to_record(row, summary):
+def _tagged(rec, summary):
     tags = []
-    if row["claw_free"] and row["every_b_invariant_solitary"]:
+    if rec.claw_free and rec.every_b_invariant_solitary:
         tags.append("every-b-invariant-solitary")
-    if row["g6"] in summary.thm11_violations:
+    if rec.g6 in summary.thm11_violations:
         tags.append("thm11-violation")
-    return CensusRecord(
-        g6=row["g6"], n=row["n"], m=row["m"], claw_free=row["claw_free"],
-        brick=row["brick"], b_invariant=row["b_invariant"], solitary=row["solitary"],
-        every_b_invariant_solitary=row["every_b_invariant_solitary"], tags=tuple(tags))
+    return replace(rec, tags=tuple(tags))
 
 
 def summary_dict(summary):
@@ -294,41 +280,36 @@ def summary_dict(summary):
     return d
 
 
-def emit_report(summary, records, fmt="jsonl", path=None, stream=None):
-    """Write one line per record plus a trailing summary block."""
-    import io
-    own = stream is None
-    if own:
-        if path:
-            stream = open(path, "w", encoding="utf-8")
-        else:
-            stream = io.StringIO()
-    try:
-        if fmt == "jsonl":
-            for rec in records:
-                row = asdict(rec)
-                row["tags"] = list(rec.tags)
-                stream.write(json.dumps(row, sort_keys=True) + "\n")
-            stream.write(json.dumps({"summary": summary_dict(summary)},
-                                    sort_keys=True, default=list) + "\n")
-        elif fmt == "csv":
-            stream.write(CSV_HEADER + "\n")
-            for rec in records:
-                # the g6 field is always quoted; its charset is 63..126 so
-                # quotes never need escaping beyond doubling '"' (absent)
-                stream.write(",".join([
-                    f'"{rec.g6}"', str(rec.n), str(rec.m),
-                    str(rec.claw_free).lower(), str(rec.brick).lower(),
-                    str(rec.b_invariant), str(rec.solitary),
-                    str(rec.every_b_invariant_solitary).lower(),
-                    f'"{";".join(rec.tags)}"']) + "\n")
-            for key, val in sorted(summary_dict(summary).items()):
-                stream.write(f"# {key}={json.dumps(val, sort_keys=True, default=list)}\n")
-        else:
-            raise MatchcovError(f"unknown report format {fmt!r}")
-        if own and not path:
-            return stream.getvalue()
+def emit_report(summary, records, fmt="jsonl", path=None):
+    """One line per record plus a trailing summary block.
+
+    Written to path when one is given, else returned as a string.
+    """
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_report_lines(summary, records, fmt))
         return None
-    finally:
-        if own and path:
-            stream.close()
+    return "".join(_report_lines(summary, records, fmt))
+
+
+def _report_lines(summary, records, fmt):
+    if fmt == "jsonl":
+        for rec in records:
+            yield json.dumps(asdict(rec), sort_keys=True) + "\n"
+        yield json.dumps({"summary": summary_dict(summary)},
+                         sort_keys=True, default=list) + "\n"
+    elif fmt == "csv":
+        yield CSV_HEADER + "\n"
+        for rec in records:
+            # the g6 field is always quoted; its charset is 63..126 so
+            # quotes never need escaping beyond doubling '"' (absent)
+            yield ",".join([
+                f'"{rec.g6}"', str(rec.n), str(rec.m),
+                str(rec.claw_free).lower(), str(rec.brick).lower(),
+                str(rec.b_invariant), str(rec.solitary),
+                str(rec.every_b_invariant_solitary).lower(),
+                f'"{";".join(rec.tags)}"']) + "\n"
+        for key, val in sorted(summary_dict(summary).items()):
+            yield f"# {key}={json.dumps(val, sort_keys=True, default=list)}\n"
+    else:
+        raise MatchcovError(f"unknown report format {fmt!r}")

@@ -16,6 +16,7 @@ from .census import (CensusConfig, JOBS_ENV_VAR, default_jobs, emit_report,
 from .edges import classify_all
 from .errors import (CapacityError, CatalogError, Graph6Error, GraphBuildError,
                      MatchcovError, PreconditionError)
+from .generate import MAX_GENERATED_N
 from .graph import (canonical_form, delete_edge, is_bipartite, is_claw_free,
                     is_connected, is_three_connected, parse_graph6, to_graph6,
                     underlying_simple)
@@ -141,6 +142,8 @@ def cmd_census(args):
             print(f"  violation: {g6}")
     for path, lineno, msg in summary.skipped_inputs:
         print(f"skipped {path}:{lineno}: {msg}")
+    for g6, msg in summary.errors:
+        print(f"error {g6}: {msg}")
     return EXIT_OK if summary.passed() else EXIT_VERDICT_FAIL
 
 
@@ -173,7 +176,7 @@ def build_parser():
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("census", help="exhaustive verification over small graphs")
-    p.add_argument("--max-n", type=int, default=0, help="built-in generation up to this n (<= 10)")
+    p.add_argument("--max-n", type=int, default=0, help=f"built-in generation up to this n (<= {MAX_GENERATED_N})")
     p.add_argument("--claw-free", action="store_true", help="keep only claw-free bricks")
     p.add_argument("--check", choices=("main", "thm11", "all"), default="main")
     p.add_argument("--in", dest="inputs", action="append", default=[],

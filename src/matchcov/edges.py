@@ -15,7 +15,7 @@ search.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import canonical_form, delete_edge, underlying_simple
+from .graph import delete_edge, underlying_simple
 from .matching import (MatchingSet, _covered_by, count_pm_containing,
                        enumerate_perfect_matchings, is_matching_covered)
 from .tightcut import b_count
@@ -32,7 +32,6 @@ class EdgeClass:
 
 @dataclass(frozen=True)
 class EdgeClassReport:
-    host_certificate: bytes
     classes: tuple
     removable: int
     b_invariant: int
@@ -91,7 +90,6 @@ def classify_all(g):
     b_of_g = b_count(g, pms)
     classes = tuple(_edge_class(g, e, pms, b_of_g) for e in range(g.m))
     return EdgeClassReport(
-        host_certificate=canonical_form(g),
         classes=classes,
         removable=sum(1 for c in classes if c.removable),
         b_invariant=sum(1 for c in classes if c.b_invariant),

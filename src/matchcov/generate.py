@@ -21,9 +21,6 @@ from .graph import Graph, _spans
 
 MAX_GENERATED_N = 10
 
-# isomorphism class counts for n = 1.., used as self-checks by the tests
-KNOWN_CLASS_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
-
 
 def _children(parent_adj, autos):
     """Candidate neighborhoods of the new vertex, one per automorphism orbit."""

@@ -142,7 +142,7 @@ def to_graph6(g):
 def canonical_graph6(g):
     """graph6 of the canonically relabeled simple view (census cache key)."""
     gs = underlying_simple(g)
-    _, perm, _ = _kernel.canon_full(gs.n, gs.adj)
+    _, perm, _, _ = _kernel.canon_auto(gs.n, gs.adj)
     pos = [0] * gs.n
     for i, v in enumerate(perm):
         pos[v] = i
@@ -334,12 +334,12 @@ def is_claw_free(g):
 def canonical_form(g):
     """Certificate bytes of the underlying simple graph (multiplicities ignored)."""
     gs = underlying_simple(g)
-    return _kernel.canon_cert(gs.n, gs.adj)
+    return _kernel.canon_auto(gs.n, gs.adj)[0]
 
 
 def automorphism_orbits(g):
     gs = underlying_simple(g)
-    return _kernel.canon_full(gs.n, gs.adj)[2]
+    return _kernel.canon_auto(gs.n, gs.adj)[2]
 
 
 def is_isomorphic(g1, g2):

@@ -1,9 +1,11 @@
 """Census pipeline, verdicts, reports, and the cache."""
 
+import hashlib
 import json
 
 import pytest
 
+import matchcov._kernel
 from matchcov.census import (CensusConfig, CensusRecord, emit_report,
                              family_g_certs, ingest_graph6, run_census)
 from matchcov.errors import CapacityError, MatchcovError
@@ -13,6 +15,17 @@ from matchcov.graph import canonical_graph6, parse_graph6
 # K6 minus the four edges 0-1, 0-2, 1-3, 4-5 (see README "A genuine finding");
 # its presence is why the pinned four-graph expectation fails
 EXTRA_SURVIVOR = "EL~o"
+
+# cache lines as the append-only cache has always written them: the record's
+# fields without tags, keys sorted (K4, the prism, and the fifth graph)
+CACHE_LINES = (
+    '{"b_invariant": 0, "brick": true, "claw_free": true, '
+    '"every_b_invariant_solitary": true, "g6": "C~", "m": 6, "n": 4, "solitary": 6}\n',
+    '{"b_invariant": 0, "brick": true, "claw_free": true, '
+    '"every_b_invariant_solitary": true, "g6": "ELv_", "m": 9, "n": 6, "solitary": 6}\n',
+    '{"b_invariant": 4, "brick": true, "claw_free": true, '
+    '"every_b_invariant_solitary": true, "g6": "EL~o", "m": 11, "n": 6, "solitary": 4}\n',
+)
 
 
 def test_config_validation():
@@ -170,3 +183,56 @@ def test_emit_csv():
     assert len(body) == len(records)
     assert all(line.startswith('"') for line in body)  # g6 always quoted
     assert any("main_pass" in line for line in trailer)
+
+
+def test_report_bytes_are_pinned():
+    summary, records = run_census(
+        CensusConfig(max_n=7, claw_free_only=True, checks=("main", "thm11")))
+    digests = {fmt: hashlib.sha256(emit_report(summary, records, fmt=fmt).encode()).hexdigest()
+               for fmt in ("jsonl", "csv")}
+    assert digests == {
+        "jsonl": "36eb039ba14a02261b1efdce0a8483e4e6d358457d0fa766cc9ebe287a89da7f",
+        "csv": "1169b618dcf67879ad284bffb8a6a4e03ab9ee3d3b642b7639d027d4b4067335",
+    }
+
+
+def test_each_brick_is_labeled_once(tmp_path, monkeypatch):
+    """Classifying a brick adds no canonical label to the funnel's one."""
+    calls = []
+    labeler = matchcov._kernel.canon_auto
+
+    def counting(n, adj):
+        calls.append(n)
+        return labeler(n, adj)
+
+    monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
+    cfg = CensusConfig(max_n=6, claw_free_only=True, checks=("main",),
+                       cache_path=str(tmp_path / "cache.jsonl"))
+    _, cold = run_census(cfg)
+    cold_calls = len(calls)
+    calls.clear()
+    _, warm = run_census(cfg)
+    assert warm == cold
+    assert len(calls) == cold_calls
+
+
+def test_cache_lines_keep_their_format(tmp_path):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("C~\nELv_\nEL~o\nC~\n")   # a repeated graph is cached once
+    cold_cache = tmp_path / "cold.jsonl"
+    cfg = CensusConfig(inputs=(str(corpus),), checks=("main",), cache_path=str(cold_cache))
+    s1, r1 = run_census(cfg)
+    fresh = cold_cache.read_text().splitlines(keepends=True)
+    fields = {"g6", "n", "m", "claw_free", "brick", "b_invariant", "solitary",
+              "every_b_invariant_solitary"}
+    assert all(set(json.loads(line)) == fields for line in fresh)
+    assert sorted(fresh) == sorted(CACHE_LINES)
+
+    # a cache written in that format serves every record and gains no line
+    old_cache = tmp_path / "old.jsonl"
+    old_cache.write_text("".join(CACHE_LINES))
+    s2, r2 = run_census(CensusConfig(inputs=(str(corpus),), checks=("main",),
+                                     cache_path=str(old_cache)))
+    assert old_cache.read_text() == "".join(CACHE_LINES)
+    assert r2 == r1
+    assert emit_report(s2, r2) == emit_report(s1, r1)

@@ -2,6 +2,8 @@
 
 import json
 
+import networkx as nx
+
 from matchcov.cli import main
 
 
@@ -89,6 +91,18 @@ def test_census_corpus_input(tmp_path, capsys):
     code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus))
     assert code == 0
     assert "skipped" in out
+
+
+def test_census_lists_graphs_it_cannot_check(tmp_path, capsys):
+    # a 6-connected graph on 34 vertices, beyond the 32-vertex matching limit
+    big = nx.gnp_random_graph(34, 0.3, seed=1)
+    corpus = tmp_path / "in.g6"
+    corpus.write_bytes(nx.to_graph6_bytes(big, header=False))
+    code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus))
+    assert code == 0  # an unchecked graph leaves the exit code alone
+    errors = [line for line in out.splitlines() if line.startswith("error ")]
+    assert len(errors) == 1
+    assert "support n <= 32" in errors[0]
 
 
 def test_selftest_reports_the_known_failure(capsys):

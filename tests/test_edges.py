@@ -144,7 +144,8 @@ def test_report_is_edge_ordered_and_consistent():
 
 
 def test_classification_labels_only_the_host(monkeypatch):
-    """b(G-e) needs no canonical label: the host certificate is the only one."""
+    """Classification labels nothing: b(G-e) needs no canonical label, and
+    the census labels the host itself, once, in its funnel."""
     calls = []
     labeler = matchcov._kernel.canon_auto
 
@@ -158,7 +159,7 @@ def test_classification_labels_only_the_host(monkeypatch):
         calls.clear()
         rep = classify_all(g)
         assert rep.removable > 0, name
-        assert calls == [g.n], name
+        assert calls == [], name
 
 
 def test_classify_requires_matching_covered():
