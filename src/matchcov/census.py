@@ -33,16 +33,7 @@ from .graph import (Graph, canonical_graph6, is_claw_free, is_connected,
                     is_three_connected, parse_graph6)
 from .matching import is_bicritical
 
-JOBS_ENV_VAR = "MATCHCOV_JOBS"
-
 CSV_HEADER = "g6,n,m,claw_free,brick,b_invariant,solitary,every_b_invariant_solitary,tags"
-
-
-def default_jobs():
-    val = os.environ.get(JOBS_ENV_VAR, "").strip()
-    if val.isdigit() and int(val) > 0:
-        return int(val)
-    return 1
 
 
 @dataclass(frozen=True)
@@ -102,8 +93,9 @@ class VerdictSummary:
 def ingest_graph6(path):
     """Decode a graph6 file, one graph per line.
 
-    Returns (graphs, skips); skips are (line_number, message) for malformed
-    lines, which do not abort the run.
+    Returns (graphs, skips): (line_number, graph) for each decoded line and
+    (line_number, message) for each malformed line, which does not abort the
+    run.
     """
     graphs = []
     skips = []
@@ -115,7 +107,7 @@ def ingest_graph6(path):
             if not line:
                 continue
             try:
-                graphs.append(parse_graph6(line))
+                graphs.append((lineno, parse_graph6(line)))
             except Graph6Error as exc:
                 skips.append((lineno, str(exc)))
     return graphs, skips
@@ -163,11 +155,12 @@ def _cache_line(rec):
     return json.dumps(row, sort_keys=True) + "\n"
 
 
-def run_census(cfg, expected_g6=None):
+def run_census(cfg):
     """Run the pipeline and verdicts; returns (VerdictSummary, records).
 
-    expected_g6 overrides the expected main-theorem set (test hook for the
-    exit-code contract).
+    A graph the funnel cannot check is reported in summary.errors as
+    (path, line_number, message), like a skipped input line, and is not
+    labeled.
     """
     cfg.validate()
     totals = {"input": 0, "connected": 0, "min_degree_3": 0,
@@ -178,9 +171,9 @@ def run_census(cfg, expected_g6=None):
     survivors = {}
     max_n_seen = 0
 
-    def feed(graph_iter):
+    def feed(path, numbered_graphs):
         nonlocal max_n_seen
-        for g in graph_iter:
+        for lineno, g in numbered_graphs:
             totals["input"] += 1
             max_n_seen = max(max_n_seen, g.n)
             if not is_connected(g):
@@ -198,7 +191,7 @@ def run_census(cfg, expected_g6=None):
                 if not is_bicritical(g):
                     continue
             except CapacityError as exc:
-                errors.append((canonical_graph6(g), str(exc)))
+                errors.append((path, lineno, str(exc)))
                 continue
             totals["brick"] += 1
             cf = is_claw_free(g)
@@ -211,12 +204,13 @@ def run_census(cfg, expected_g6=None):
     if cfg.max_n:
         aug = CanonicalAugmenter()
         for n in range(1, cfg.max_n + 1):
-            feed(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug))
+            feed(f"<generated n={n}>", enumerate(generate_all_graphs(
+                n, min_degree=3, connected=True, augmenter=aug), start=1))
         max_n_seen = max(max_n_seen, cfg.max_n)
     for path in cfg.inputs:
         graphs, skips = ingest_graph6(path)
         skipped.extend((path, lineno, msg) for lineno, msg in skips)
-        feed(graphs)
+        feed(path, graphs)
 
     cache = _load_cache(cfg.cache_path)
     records = []
@@ -248,8 +242,7 @@ def run_census(cfg, expected_g6=None):
             rec.g6 for rec in records
             if rec.claw_free and rec.g6 not in trivial_bricks
             and rec.every_b_invariant_solitary)
-        want = tuple(sorted(expected_g6)) if expected_g6 is not None \
-            else family_g_certs(max_n_seen or None)
+        want = family_g_certs(max_n_seen or None)
         summary.main_property_g6 = have
         summary.main_expected_g6 = want
         summary.main_pass = have == want

@@ -2,7 +2,7 @@
 
 Subcommands: catalog, props, classify, decompose, census, selftest.
 Exit codes: 0 success / verdict pass, 1 verdict fail, 2 usage error,
-3 capacity error.
+3 capacity error, 4 internal error (any other exception).
 """
 
 import argparse
@@ -11,8 +11,7 @@ import sys
 from .catalog import catalog as named_graph
 from .catalog import entry as catalog_entry
 from .catalog import names as catalog_names
-from .census import (CensusConfig, JOBS_ENV_VAR, default_jobs, emit_report,
-                     run_census, summary_dict)
+from .census import CensusConfig, emit_report, run_census
 from .edges import classify_all
 from .errors import (CapacityError, CatalogError, Graph6Error, GraphBuildError,
                      MatchcovError, PreconditionError)
@@ -27,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 # derived fixtures usable wherever a catalog name is accepted
 _ALIASES = {
@@ -142,8 +142,8 @@ def cmd_census(args):
             print(f"  violation: {g6}")
     for path, lineno, msg in summary.skipped_inputs:
         print(f"skipped {path}:{lineno}: {msg}")
-    for g6, msg in summary.errors:
-        print(f"error {g6}: {msg}")
+    for path, lineno, msg in summary.errors:
+        print(f"error {path}:{lineno}: {msg}")
     return EXIT_OK if summary.passed() else EXIT_VERDICT_FAIL
 
 
@@ -183,8 +183,7 @@ def build_parser():
                    metavar="FILE", help="graph6 corpus file (repeatable)")
     p.add_argument("--out", default="", help="report path")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--jobs", type=int, default=default_jobs(),
-                   help=f"worker count (default from ${JOBS_ENV_VAR} or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
     p.add_argument("--cache", default="", help="append-only JSONL results cache")
     p.set_defaults(func=cmd_census)
 
@@ -208,6 +207,11 @@ def main(argv=None):
     except (CatalogError, Graph6Error, GraphBuildError, PreconditionError, MatchcovError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only a crash needs it; it adds to every start-up
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -49,9 +49,9 @@ def is_removable(g, e):
     return is_matching_covered(delete_edge(g, e))
 
 
-def is_b_invariant(g, e, b_of_g=None):
+def is_b_invariant(g, e):
     """Removable and b(G-e) = b(G)."""
-    return bool(classify_edge(g, e, b_of_g).b_invariant)
+    return bool(classify_edge(g, e).b_invariant)
 
 
 def is_solitary(g, e):
@@ -59,14 +59,12 @@ def is_solitary(g, e):
     return count_pm_containing(g, e, cap=2) == 1
 
 
-def classify_edge(g, e, b_of_g=None):
-    """EdgeClass of edge e; G must be matching covered unless b_of_g is given."""
+def classify_edge(g, e):
+    """EdgeClass of edge e; G must be matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
     pms = enumerate_perfect_matchings(g)
-    if b_of_g is None:
-        b_of_g = b_count(g, pms)
-    return _edge_class(g, e, pms, b_of_g)
+    return _edge_class(g, e, pms, b_count(g, pms))
 
 
 def _edge_class(g, e, pms, b_of_g):
@@ -80,7 +78,7 @@ def _edge_class(g, e, pms, b_of_g):
     removable = _covered_by(rest, avoiding)
     b_inv = None
     if removable:
-        b_inv = b_count(rest, MatchingSet(rest, avoiding, True)) == b_of_g
+        b_inv = b_count(rest, MatchingSet(avoiding, True)) == b_of_g
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
 
 

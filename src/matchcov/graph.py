@@ -146,7 +146,7 @@ def canonical_graph6(g):
     pos = [0] * gs.n
     for i, v in enumerate(perm):
         pos[v] = i
-    return to_graph6(build(gs.n, [(pos[u], pos[v]) for u, v in gs.edges]))
+    return to_graph6(_relabeled(gs, pos, gs.n))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,21 @@ def underlying_simple(g):
     return Graph(g.n, tuple(edges))
 
 
+def _relabeled(g, mapping, n):
+    """Graph on n vertices with each edge's endpoints sent through mapping.
+
+    Edges that lose an endpoint (mapped to None) or become loops are dropped;
+    the others keep their order and multiplicity.
+    """
+    edges = []
+    for u, v in g.edges:
+        a, b = mapping[u], mapping[v]
+        if a is None or b is None or a == b:
+            continue
+        edges.append((a, b) if a < b else (b, a))
+    return Graph(n, tuple(edges))
+
+
 def contract(g, x):
     """Shrink vertex set x to a single new vertex (the highest index).
 
@@ -175,23 +190,11 @@ def contract(g, x):
         raise GraphBuildError(f"contraction set must be nonempty and proper, got {sorted(xs)}")
     if any(v < 0 or v >= g.n for v in xs):
         raise GraphBuildError("contraction set has a vertex outside the graph")
-    new_n = g.n - len(xs) + 1
-    c = new_n - 1
-    mapping = []
-    nxt = 0
-    for v in range(g.n):
-        if v in xs:
-            mapping.append(c)
-        else:
-            mapping.append(nxt)
-            nxt += 1
-    edges = []
-    for u, v in g.edges:
-        a, b = mapping[u], mapping[v]
-        if a == b:
-            continue  # internal edge of x becomes a loop
-        edges.append((a, b) if a < b else (b, a))
-    return Graph(new_n, tuple(edges)), tuple(mapping)
+    keep = [v for v in range(g.n) if v not in xs]
+    mapping = [len(keep)] * g.n
+    for i, v in enumerate(keep):
+        mapping[v] = i
+    return _relabeled(g, mapping, len(keep) + 1), tuple(mapping)
 
 
 def delete_edge(g, e):
@@ -202,21 +205,13 @@ def delete_edge(g, e):
 
 def delete_vertices(g, vs):
     vset = set(vs)
-    mapping = []
+    mapping = [None] * g.n
     nxt = 0
     for v in range(g.n):
-        if v in vset:
-            mapping.append(None)
-        else:
-            mapping.append(nxt)
+        if v not in vset:
+            mapping[v] = nxt
             nxt += 1
-    edges = []
-    for u, v in g.edges:
-        if u in vset or v in vset:
-            continue
-        a, b = mapping[u], mapping[v]
-        edges.append((a, b) if a < b else (b, a))
-    return Graph(g.n - len(vset), tuple(edges))
+    return _relabeled(g, mapping, nxt)
 
 
 def add_edge(g, u, v):
@@ -231,10 +226,10 @@ def is_connected(g):
     return _spans(g.adj, (1 << g.n) - 1)
 
 
-def _spans(adj, alive):
-    """True iff the vertex bit set `alive` induces a connected subgraph of
-    the adjacency bitmasks `adj` (vacuously so when empty)."""
-    seen = frontier = alive & -alive
+def _reach(adj, seed, alive):
+    """Vertex bit set reachable from the bit set `seed` inside `alive`, over
+    the adjacency bitmasks `adj`."""
+    seen = frontier = seed
     while frontier:
         nxt = 0
         while frontier:
@@ -243,7 +238,13 @@ def _spans(adj, alive):
             nxt |= adj[v]
         frontier = nxt & alive & ~seen
         seen |= frontier
-    return seen == alive
+    return seen
+
+
+def _spans(adj, alive):
+    """True iff the vertex bit set `alive` induces a connected subgraph of
+    the adjacency bitmasks `adj` (vacuously so when empty)."""
+    return _reach(adj, alive & -alive, alive) == alive
 
 
 def is_bipartite(g):
@@ -271,56 +272,36 @@ def is_bipartite(g):
 def bridges(g):
     """Edge indices that are bridges of the multigraph.
 
-    A parallel pair is never a bridge; otherwise an edge is a bridge iff it is
-    a cut edge of the simple view (standard DFS lowpoint computation).
+    A parallel pair is never a bridge; an edge of multiplicity 1 is one iff
+    its endpoints cannot reach each other once it is removed.
     """
-    mult = {}
-    for u, v in g.edges:
-        mult[(u, v)] = mult.get((u, v), 0) + 1
-    simple_bridges = set()
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = [1]
-    adj_lists = [[] for _ in range(g.n)]
-    for u, v in set(g.edges):
-        adj_lists[u].append(v)
-        adj_lists[v].append(u)
-
-    def dfs(v, parent):
-        disc[v] = low[v] = timer[0]
-        timer[0] += 1
-        for w in adj_lists[v]:
-            if w == parent:
-                continue
-            if disc[w]:
-                low[v] = min(low[v], disc[w])
-            else:
-                dfs(w, v)
-                low[v] = min(low[v], low[w])
-                if low[w] > disc[v]:
-                    simple_bridges.add((v, w) if v < w else (w, v))
-
-    for s in range(g.n):
-        if not disc[s]:
-            dfs(s, -1)
+    adj = list(g.adj)
+    full = (1 << g.n) - 1
     out = set()
-    for i, pair in enumerate(g.edges):
-        if pair in simple_bridges and mult[pair] == 1:
+    for i, (u, v) in enumerate(g.edges):
+        if g.edges.count((u, v)) > 1:
+            continue
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if not _reach(adj, 1 << u, full) >> v & 1:
             out.add(i)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
     return out
 
 
 def is_three_connected(g):
-    """True iff n >= 4 and no vertex set of size <= 2 disconnects the simple view."""
+    """True iff n >= 4 and no vertex set of size <= 2 disconnects the simple view.
+
+    Only pairs are tried: for n >= 4, if removing at most one vertex
+    disconnects the graph, so does removing two vertices that spare a vertex
+    in each of two of its components.
+    """
     if g.n < 4:
-        return False
-    if not is_connected(g):
         return False
     adj = g.adj
     full = (1 << g.n) - 1
     for a in range(g.n):
-        if not _spans(adj, full & ~(1 << a)):
-            return False
         for b in range(a + 1, g.n):
             if not _spans(adj, full & ~(1 << a) & ~(1 << b)):
                 return False

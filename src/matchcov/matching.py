@@ -21,12 +21,11 @@ def _check_size(g):
 
 @dataclass(frozen=True)
 class MatchingSet:
-    """Perfect matchings of `host` in the fixed enumeration order.
+    """Perfect matchings of a graph in the fixed enumeration order.
 
     `complete` is False when enumeration stopped at a cap, in which case the
     list is a prefix of the full enumeration.
     """
-    host: object
     matchings: tuple  # edge bitmasks
     complete: bool
 
@@ -47,7 +46,7 @@ def enumerate_perfect_matchings(g, cap=None):
     want = 0 if cap is None else cap
     pms = _kernel.enumerate_pms(g.n, eu, ev, want)
     complete = cap is None or len(pms) < cap
-    return MatchingSet(g, tuple(pms), complete)
+    return MatchingSet(tuple(pms), complete)
 
 
 def count_perfect_matchings(g, cap=None):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import matchcov._kernel
+from matchcov import census
 from matchcov.census import (CensusConfig, CensusRecord, emit_report,
                              family_g_certs, ingest_graph6, run_census)
 from matchcov.errors import CapacityError, MatchcovError
@@ -46,11 +47,12 @@ def test_ingest_graph6(tmp_path):
     path.write_text("C~\n")
     graphs, skips = ingest_graph6(path)
     assert len(graphs) == 1 and not skips
-    assert (graphs[0].n, graphs[0].m) == (4, 6)
+    lineno, g = graphs[0]
+    assert (lineno, g.n, g.m) == (1, 4, 6)
 
     path.write_text("@\nA_\n")
     graphs, skips = ingest_graph6(path)
-    assert [g.n for g in graphs] == [1, 2] and not skips
+    assert [(lineno, g.n) for lineno, g in graphs] == [(1, 1), (2, 2)] and not skips
 
     path.write_text("C~\ngarbage\n")
     graphs, skips = ingest_graph6(path)
@@ -98,15 +100,17 @@ def test_census_main_verdict_finds_fifth_graph():
     assert "every-b-invariant-solitary" in extra.tags
 
 
-def test_expected_set_override_controls_the_verdict():
+def test_expected_set_override_controls_the_verdict(monkeypatch):
     cfg = CensusConfig(max_n=6, claw_free_only=True, checks=("main",))
     found, _ = run_census(cfg)
-    ok, _ = run_census(cfg, expected_g6=found.main_property_g6)
+    monkeypatch.setattr(census, "family_g_certs", lambda max_n: found.main_property_g6)
+    ok, _ = run_census(cfg)
     assert ok.main_pass is True and ok.passed()
     # dropping a genuine member (the wheel) must fail the verdict
     fake = tuple(c for c in found.main_property_g6 if c != canonical_graph6(
         parse_graph6("ELrw")))
-    bad, _ = run_census(cfg, expected_g6=fake)
+    monkeypatch.setattr(census, "family_g_certs", lambda max_n: fake)
+    bad, _ = run_census(cfg)
     assert bad.main_pass is False
 
 

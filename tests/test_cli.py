@@ -94,15 +94,35 @@ def test_census_corpus_input(tmp_path, capsys):
 
 
 def test_census_lists_graphs_it_cannot_check(tmp_path, capsys):
-    # a 6-connected graph on 34 vertices, beyond the 32-vertex matching limit
+    # a 6-connected graph on 34 vertices, beyond the 32-vertex matching limit,
+    # and a 64-vertex one, beyond the short graph6 format as well
     big = nx.gnp_random_graph(34, 0.3, seed=1)
+    huge = nx.circulant_graph(64, [1, 2, 5])
     corpus = tmp_path / "in.g6"
-    corpus.write_bytes(nx.to_graph6_bytes(big, header=False))
+    corpus.write_bytes(nx.to_graph6_bytes(big, header=False)
+                       + nx.to_graph6_bytes(huge, header=False))
     code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus))
     assert code == 0  # an unchecked graph leaves the exit code alone
     errors = [line for line in out.splitlines() if line.startswith("error ")]
-    assert len(errors) == 1
-    assert "support n <= 32" in errors[0]
+    assert len(errors) == 2
+    # named by file and line, not by a canonical label
+    assert errors[0].startswith(f"error {corpus}:1: ")
+    assert errors[1].startswith(f"error {corpus}:2: ")
+    assert all("support n <= 32" in line for line in errors)
+
+
+def test_census_crash_is_an_internal_error(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text('{"b_invariant": 0, "brick": true, "claw_free": true, '
+                     '"every_b_invariant_solitary": true, "g6": "C~", "m": 6, '
+                     '"n": 4, "solitary": 6}\n{"b_invariant": 0, "bri')
+    before = cache.read_bytes()
+    code, out, err = run(capsys, "census", "--max-n", "6", "--check", "thm11",
+                         "--cache", str(cache))
+    assert code == 4  # not 1, which means a failed theorem check
+    assert "internal error: JSONDecodeError" in err
+    assert "Traceback" in err
+    assert cache.read_bytes() == before
 
 
 def test_selftest_reports_the_known_failure(capsys):

@@ -117,13 +117,27 @@ def test_connected_bipartite_match_reference():
 
 def test_bridges_match_reference():
     rng = random.Random(31)
+    graphs = []
     for _ in range(150):
         n = rng.randrange(2, 11)
-        edges = oracles.random_connected_graph(rng, n, 0.3)
-        g = build(n, edges)
-        want = {tuple(sorted(e)) for e in nx.bridges(oracles.to_nx_simple(g))}
+        graphs.append(build(n, oracles.random_connected_graph(rng, n, 0.3)))
+    for _ in range(100):
+        # sparse and often disconnected
+        n = rng.randrange(1, 12)
+        graphs.append(build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.05, 0.3))))
+    for _ in range(100):
+        # contracted multigraphs: a parallel pair is never a bridge
+        n = rng.randrange(5, 11)
+        g = build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.2, 0.6)))
+        graphs.append(contract(g, rng.sample(range(n), rng.randrange(2, n - 1)))[0])
+    for g in graphs:
+        parallel = {e for e in g.edges if g.edges.count(e) > 1}
+        want = {tuple(sorted(e)) for e in nx.bridges(oracles.to_nx_simple(g))} - parallel
         got = {tuple(sorted(g.edges[e])) for e in bridges(g)}
         assert got == want
+    # deep enough to overflow a recursive search
+    path = build(1500, [(i, i + 1) for i in range(1499)])
+    assert bridges(path) == set(range(1499))
 
 
 def test_bridges_skip_parallel_pairs():
@@ -136,7 +150,8 @@ def test_three_connected_matches_reference():
     rng = random.Random(43)
     for _ in range(120):
         n = rng.randrange(4, 10)
-        edges = oracles.random_simple_graph(rng, n, 0.6)
+        # sparse draws keep disconnected graphs and cut vertices covered
+        edges = oracles.random_simple_graph(rng, n, rng.uniform(0.1, 0.9))
         g = build(n, edges)
         h = oracles.to_nx_simple(g)
         assert is_three_connected(g) == (nx.node_connectivity(h) >= 3)
