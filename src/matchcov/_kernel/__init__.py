@@ -58,10 +58,6 @@ def is_claw_free(n, adj):
     return _impl.is_claw_free(n, adj)
 
 
-def boundary_mask(eu, ev, x_mask):
-    return _py.boundary_mask(eu, ev, x_mask)
-
-
 def first_tight_cut(eu, ev, pms, subsets):
     if _impl is not _py and len(eu) > _C_MAX_EDGES:
         return _py.first_tight_cut(eu, ev, pms, subsets)

@@ -1,11 +1,11 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
 The compiled kernel (ckernel) provides every function defined here, with
-byte-identical results; it also still defines canon_full and canon_cert,
-which nothing calls.  Everything here works on primitive data: a vertex count
-plus either per-vertex neighbor bitmasks (simple adjacency) or parallel
-edge-endpoint arrays, so both backends stay byte-compatible and the rest of
-the package never touches backend details.
+byte-identical results; it also still defines boundary_mask, canon_full and
+canon_cert, which nothing calls.  Everything here works on primitive data: a
+vertex count plus either per-vertex neighbor bitmasks (simple adjacency) or
+parallel edge-endpoint arrays, so both backends stay byte-compatible and the
+rest of the package never touches backend details.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
@@ -232,14 +232,6 @@ def is_claw_free(n, adj):
 # ---------------------------------------------------------------------------
 # tight-cut scan
 # ---------------------------------------------------------------------------
-
-def boundary_mask(eu, ev, x_mask):
-    bnd = 0
-    for i in range(len(eu)):
-        if ((x_mask >> eu[i]) ^ (x_mask >> ev[i])) & 1:
-            bnd |= 1 << i
-    return bnd
-
 
 def first_tight_cut(eu, ev, pms, subsets):
     """First subset (by given order) whose cut meets every matching once.

@@ -43,8 +43,6 @@ class CensusConfig:
     claw_free_only: bool = False
     checks: tuple = ("main",)       # any of "main", "thm11"
     jobs: int = 1
-    out_path: str = ""
-    out_format: str = "jsonl"       # jsonl | csv
     cache_path: str = ""
 
     def validate(self):
@@ -57,8 +55,8 @@ class CensusConfig:
             raise CapacityError(f"built-in generation supports max_n <= {MAX_GENERATED_N}")
         if not self.max_n and not self.inputs:
             raise MatchcovError("census needs a built-in max_n or graph6 input files")
-        if self.out_format not in ("jsonl", "csv"):
-            raise MatchcovError(f"unknown report format {self.out_format!r}")
+        if self.jobs < 1:
+            raise MatchcovError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -128,25 +126,41 @@ def family_g_certs(max_n=None):
 
 
 def _classify_worker(payload):
-    g6, claw_free, n, edges = payload
-    report = classify_all(Graph(n, edges))
+    """The brick's CensusRecord, or (path, line_number, message) when a
+    kernel limit stops its classification."""
+    g6, claw_free, n, edges, path, lineno = payload
+    try:
+        report = classify_all(Graph(n, edges))
+    except CapacityError as exc:
+        return path, lineno, str(exc)
     return CensusRecord(
         g6=g6, n=n, m=len(edges), claw_free=claw_free, brick=True,
         b_invariant=report.b_invariant, solitary=report.solitary,
         every_b_invariant_solitary=report.every_b_invariant_solitary())
 
 
-def _load_cache(path):
-    cache = {}
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                cache[row["g6"]] = row
-    return cache
+def _load_cache(path, skipped):
+    """Cached rows by canonical graph6.
+
+    A last line without a newline is what an interrupted append leaves.  It
+    is cut off the file, so the next append starts a line of its own, and
+    when it does not parse it is reported in skipped as (path, line_number,
+    message).  Any other malformed line raises.
+    """
+    if not (path and os.path.exists(path)):
+        return {}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = data.split(b"\n")
+    tail = lines.pop()          # empty when the file ends with a newline
+    rows = [json.loads(line) for line in lines if line.strip()]
+    if tail:
+        os.truncate(path, len(data) - len(tail))
+        try:
+            rows.append(json.loads(tail))
+        except ValueError:
+            skipped.append((path, len(lines) + 1, "truncated cache line"))
+    return {row["g6"]: row for row in rows}
 
 
 def _cache_line(rec):
@@ -160,14 +174,16 @@ def run_census(cfg):
 
     A graph the funnel cannot check is reported in summary.errors as
     (path, line_number, message), like a skipped input line, and is not
-    labeled.
+    labeled.  So is a brick whose classification exceeds a kernel limit; it
+    gets no record and no cache row.
     """
     cfg.validate()
     totals = {"input": 0, "connected": 0, "min_degree_3": 0,
               "three_connected": 0, "brick": 0, "claw_free_brick": 0}
     skipped = []
     errors = []
-    # canonical graph6 -> (claw_free, graph); a repeated graph is classified once
+    # canonical graph6 -> (claw_free, graph, path, line_number); a repeated
+    # graph is classified once
     survivors = {}
     max_n_seen = 0
 
@@ -199,7 +215,7 @@ def run_census(cfg):
                 totals["claw_free_brick"] += 1
             if cfg.claw_free_only and not cf:
                 continue
-            survivors[canonical_graph6(g)] = (cf, g)
+            survivors[canonical_graph6(g)] = (cf, g, path, lineno)
 
     if cfg.max_n:
         aug = CanonicalAugmenter()
@@ -212,14 +228,14 @@ def run_census(cfg):
         skipped.extend((path, lineno, msg) for lineno, msg in skips)
         feed(path, graphs)
 
-    cache = _load_cache(cfg.cache_path)
+    cache = _load_cache(cfg.cache_path, skipped)
     records = []
     payloads = []
-    for key, (cf, g) in survivors.items():
+    for key, (cf, g, path, lineno) in survivors.items():
         if key in cache:
             records.append(CensusRecord(**cache[key]))
         else:
-            payloads.append((key, cf, g.n, g.edges))
+            payloads.append((key, cf, g.n, g.edges, path, lineno))
 
     if payloads:
         if cfg.jobs > 1:
@@ -227,6 +243,8 @@ def run_census(cfg):
                 fresh = pool.map(_classify_worker, payloads, chunksize=8)
         else:
             fresh = [_classify_worker(p) for p in payloads]
+        errors.extend(r for r in fresh if not isinstance(r, CensusRecord))
+        fresh = [r for r in fresh if isinstance(r, CensusRecord)]
         records.extend(fresh)
         if cfg.cache_path:
             with open(cfg.cache_path, "a", encoding="utf-8") as fh:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: catalog, props, classify, decompose, census, selftest.
-Exit codes: 0 success / verdict pass, 1 verdict fail, 2 usage error,
-3 capacity error, 4 internal error (any other exception).
+Exit codes: 0 success / verdict pass, 1 verdict fail, 2 usage error or a
+file that cannot be read or written, 3 capacity error, 4 internal error (any
+other exception).
 """
 
 import argparse
@@ -16,9 +17,8 @@ from .edges import classify_all
 from .errors import (CapacityError, CatalogError, Graph6Error, GraphBuildError,
                      MatchcovError, PreconditionError)
 from .generate import MAX_GENERATED_N
-from .graph import (canonical_form, delete_edge, is_bipartite, is_claw_free,
-                    is_connected, is_three_connected, parse_graph6, to_graph6,
-                    underlying_simple)
+from .graph import (delete_edge, is_bipartite, is_claw_free, is_connected,
+                    is_three_connected, parse_graph6, to_graph6, underlying_simple)
 from .matching import is_bicritical, is_brick
 from .tightcut import decompose
 
@@ -120,14 +120,12 @@ def cmd_census(args):
         claw_free_only=args.claw_free,
         checks=checks,
         jobs=args.jobs,
-        out_path=args.out or "",
-        out_format=args.format,
         cache_path=args.cache or "",
     )
     summary, records = run_census(cfg)
-    if cfg.out_path:
-        emit_report(summary, records, fmt=cfg.out_format, path=cfg.out_path)
-        print(f"report written to {cfg.out_path}")
+    if args.out:
+        emit_report(summary, records, fmt=args.format, path=args.out)
+        print(f"report written to {args.out}")
     for key, val in summary.totals.items():
         print(f"{key}: {val}")
     print(f"verified up to n = {summary.max_n_seen}")
@@ -204,7 +202,8 @@ def main(argv=None):
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (CatalogError, Graph6Error, GraphBuildError, PreconditionError, MatchcovError) as exc:
+    except (CatalogError, Graph6Error, GraphBuildError, PreconditionError, MatchcovError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -15,7 +15,7 @@ search.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import delete_edge, underlying_simple
+from .graph import delete_edge
 from .matching import (MatchingSet, _covered_by, count_pm_containing,
                        enumerate_perfect_matchings, is_matching_covered)
 from .tightcut import b_count
@@ -106,24 +106,14 @@ def triangle_nonremovable_edges(g):
 
     These are exactly the edges certified nonremovable by the triangle
     criterion; the general removability test is independent of this shortcut.
+    Such a u has three neighbors in the simple view, and the two besides v
+    are adjacent.  Parallel copies of an edge are each reported.
     """
-    gs = underlying_simple(g)
-    adj = gs.adj
+    adj = g.adj
     out = set()
-    for a in range(gs.n):
-        for b in range(a + 1, gs.n):
-            if not adj[a] >> b & 1:
-                continue
-            common = adj[a] & adj[b] & ~((1 << (b + 1)) - 1)
-            while common:
-                c = (common & -common).bit_length() - 1
-                common &= common - 1
-                tri_mask = (1 << a) | (1 << b) | (1 << c)
-                for u in (a, b, c):
-                    outside = adj[u] & ~tri_mask
-                    if outside.bit_count() == 1:
-                        v = (outside & -outside).bit_length() - 1
-                        for i, (p, q) in enumerate(g.edges):
-                            if (p, q) == ((u, v) if u < v else (v, u)):
-                                out.add(i)
+    for i, (p, q) in enumerate(g.edges):
+        for u, v in ((p, q), (q, p)):
+            mates = adj[u] & ~(1 << v)
+            if mates.bit_count() == 2 and adj[(mates & -mates).bit_length() - 1] & mates:
+                out.add(i)
     return out

@@ -3,13 +3,16 @@
 The nontrivial tight-cut search is exhaustive over odd vertex subsets, using
 the complete perfect-matching list as bit vectors.  The deterministic scan
 order (|X| ascending, then numeric value of the bit set) makes decomposition
-traces reproducible; it is built once per vertex count and cached.  An
-optional RNG shuffles a copy of the scan order so the Lovasz invariance of
-the resulting brick/brace multiset can be tested.
+traces reproducible; it is built once per vertex count and cached.  A test
+that checks the Lovasz invariance of the brick/brace multiset shuffles the
+scan by replacing _scan_order, which the search reads on every call.
 
 decompose and b_count share one contraction recursion (_contract_pieces).
 Only decompose labels the pieces canonically; b_count just counts the
 nonbipartite ones, which is all edge classification needs.
+
+Cut boundaries are computed here, not in the kernel; the compiled kernel
+still defines boundary_mask, canon_full and canon_cert, which nothing calls.
 """
 
 from dataclasses import dataclass
@@ -52,8 +55,8 @@ def make_cut(g, x):
     size = x_mask.bit_count()
     if size == 0 or size >= g.n or x_mask >> g.n:
         raise PreconditionError("cut set must be a nonempty proper subset of the vertices")
-    eu, ev = g.edge_arrays
-    boundary = _kernel.boundary_mask(eu, ev, x_mask)
+    boundary = sum(1 << i for i, (u, v) in enumerate(g.edges)
+                   if (x_mask >> u ^ x_mask >> v) & 1)
     return Cut(x_mask, boundary, trivial=(size == 1 or size == g.n - 1))
 
 
@@ -67,7 +70,10 @@ def is_tight(g, x, pms):
 
 @cache
 def _scan_order(n):
-    """The deterministic scan order for n, built once: a tuple of vertex masks."""
+    """Candidate nontrivial cut shores for n, in scan order, built once.
+
+    A tuple of vertex masks: odd |X|, 3 <= |X| <= n-3, |X| <= n/2.
+    """
     subsets = []
     for size in range(3, n // 2 + 1, 2):
         if size > n - 3:
@@ -77,25 +83,8 @@ def _scan_order(n):
     return tuple(subsets)
 
 
-def _odd_subsets(n, rng=None):
-    """Candidate nontrivial cut shores: odd |X|, 3 <= |X| <= n-3, |X| <= n/2.
-
-    Without an rng this is the cached deterministic order for n; with one it
-    is a shuffled copy, so the cached order never changes.
-    """
-    if rng is None:
-        return _scan_order(n)
-    shuffled = list(_scan_order(n))
-    rng.shuffle(shuffled)
-    return shuffled
-
-
-def find_nontrivial_tight_cut(g, pms=None, rng=None):
-    """First nontrivial tight cut in scan order, or None.
-
-    Deterministic by default; pass an rng to randomize the scan order (used by
-    the decomposition-invariance tests).
-    """
+def find_nontrivial_tight_cut(g, pms=None):
+    """First nontrivial tight cut in scan order, or None."""
     if g.n > MAX_TIGHT_SCAN_N:
         raise CapacityError(f"tight-cut scan supports n <= {MAX_TIGHT_SCAN_N}, got {g.n}")
     if pms is None:
@@ -103,13 +92,13 @@ def find_nontrivial_tight_cut(g, pms=None, rng=None):
         if not _covered_by(g, pms.matchings):
             raise PreconditionError("tight-cut search requires a matching covered graph")
     eu, ev = g.edge_arrays
-    x = _kernel.first_tight_cut(eu, ev, pms.matchings, _odd_subsets(g.n, rng))
+    x = _kernel.first_tight_cut(eu, ev, pms.matchings, _scan_order(g.n))
     if x < 0:
         return None
     return make_cut(g, x)
 
 
-def _contract_pieces(g, pms=None, rng=None):
+def _contract_pieces(g, pms=None):
     """The contraction recursion behind decompose and b_count.
 
     Returns ([(piece, nonbipartite)], trace) with pieces in recursion order
@@ -130,7 +119,7 @@ def _contract_pieces(g, pms=None, rng=None):
         if h.n >= 6:
             if pms is None:
                 pms = enumerate_perfect_matchings(h)
-            cut = find_nontrivial_tight_cut(h, pms=pms, rng=rng)
+            cut = find_nontrivial_tight_cut(h, pms=pms)
         if cut is None:
             pieces.append((h, not is_bipartite(h)))
             return
@@ -146,7 +135,7 @@ def _contract_pieces(g, pms=None, rng=None):
     return pieces, trace
 
 
-def decompose(g, pms=None, rng=None):
+def decompose(g, pms=None):
     """Tight cut decomposition into bricks and braces.
 
     Recursively contracts along nontrivial tight cuts; b counts nonbipartite
@@ -154,7 +143,7 @@ def decompose(g, pms=None, rng=None):
     order follows the recursion (X side first).  pms, when given, is the
     complete MatchingSet of g.
     """
-    found, trace = _contract_pieces(g, pms, rng)
+    found, trace = _contract_pieces(g, pms)
     pieces = tuple((h, canonical_form(h), nb) for h, nb in found)
     b = sum(1 for _, nb in found if nb)
     return DecompositionResult(pieces, b, len(pieces) - b, tuple(trace))

@@ -39,7 +39,13 @@ def test_config_validation():
     with pytest.raises(CapacityError):
         CensusConfig(max_n=11).validate()
     with pytest.raises(MatchcovError):
-        CensusConfig(max_n=4, out_format="xml").validate()
+        CensusConfig(max_n=4, jobs=0).validate()
+
+
+def test_unknown_report_format():
+    summary, records = run_census(CensusConfig(max_n=4, checks=("thm11",)))
+    with pytest.raises(MatchcovError):
+        emit_report(summary, records, fmt="xml")
 
 
 def test_ingest_graph6(tmp_path):

@@ -95,27 +95,56 @@ def test_census_corpus_input(tmp_path, capsys):
 
 def test_census_lists_graphs_it_cannot_check(tmp_path, capsys):
     # a 6-connected graph on 34 vertices, beyond the 32-vertex matching limit,
-    # and a 64-vertex one, beyond the short graph6 format as well
+    # a 64-vertex one, beyond the short graph6 format as well, and the prism
+    # C11 x K2, a 22-vertex brick beyond the 20-vertex tight-cut scan
     big = nx.gnp_random_graph(34, 0.3, seed=1)
     huge = nx.circulant_graph(64, [1, 2, 5])
+    prism = nx.circular_ladder_graph(11)
     corpus = tmp_path / "in.g6"
-    corpus.write_bytes(nx.to_graph6_bytes(big, header=False)
-                       + nx.to_graph6_bytes(huge, header=False))
-    code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus))
+    corpus.write_bytes(b"".join(nx.to_graph6_bytes(h, header=False)
+                                for h in (big, huge, prism)))
+    cache = tmp_path / "cache.jsonl"
+    code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus),
+                       "--cache", str(cache))
     assert code == 0  # an unchecked graph leaves the exit code alone
     errors = [line for line in out.splitlines() if line.startswith("error ")]
-    assert len(errors) == 2
+    assert len(errors) == 3
     # named by file and line, not by a canonical label
-    assert errors[0].startswith(f"error {corpus}:1: ")
-    assert errors[1].startswith(f"error {corpus}:2: ")
-    assert all("support n <= 32" in line for line in errors)
+    for lineno, line in enumerate(errors, start=1):
+        assert line.startswith(f"error {corpus}:{lineno}: ")
+    assert all("support n <= 32" in line for line in errors[:2])
+    assert "tight-cut scan supports n <= 20, got 22" in errors[2]
+    assert "brick: 1" in out
+    assert cache.read_text() == ""   # no row for the brick it could not classify
+
+
+def test_census_rejects_a_worker_count_below_one(capsys):
+    code, _, err = run(capsys, "census", "--max-n", "4", "--check", "thm11",
+                       "--jobs", "0")
+    assert code == 2
+    assert err == "error: jobs must be at least 1, got 0\n"
+
+
+def test_census_unreadable_input_and_unwritable_report(tmp_path, capsys):
+    missing = tmp_path / "missing.g6"
+    code, _, err = run(capsys, "census", "--check", "thm11", "--in", str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err and err.count("\n") == 1
+    report = tmp_path / "no-such-dir" / "report.jsonl"
+    code, _, err = run(capsys, "census", "--max-n", "4", "--check", "thm11",
+                       "--out", str(report))
+    assert code == 2
+    assert err.startswith("error: ") and str(report) in err and err.count("\n") == 1
+
+
+K4_CACHE_ROW = ('{"b_invariant": 0, "brick": true, "claw_free": true, '
+                '"every_b_invariant_solitary": true, "g6": "C~", "m": 6, '
+                '"n": 4, "solitary": 6}\n')
 
 
 def test_census_crash_is_an_internal_error(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    cache.write_text('{"b_invariant": 0, "brick": true, "claw_free": true, '
-                     '"every_b_invariant_solitary": true, "g6": "C~", "m": 6, '
-                     '"n": 4, "solitary": 6}\n{"b_invariant": 0, "bri')
+    cache.write_text('{"b_invariant": 0, "bri\n' + K4_CACHE_ROW)
     before = cache.read_bytes()
     code, out, err = run(capsys, "census", "--max-n", "6", "--check", "thm11",
                          "--cache", str(cache))
@@ -123,6 +152,20 @@ def test_census_crash_is_an_internal_error(tmp_path, capsys):
     assert "internal error: JSONDecodeError" in err
     assert "Traceback" in err
     assert cache.read_bytes() == before
+
+
+def test_census_skips_a_truncated_last_cache_line(tmp_path, capsys):
+    # what a run killed in the middle of an append leaves behind
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(K4_CACHE_ROW + '{"b_invariant": 0, "bri')
+    code, out, _ = run(capsys, "census", "--max-n", "6", "--check", "thm11",
+                       "--cache", str(cache))
+    assert code == 0
+    skips = [line for line in out.splitlines() if line.startswith("skipped ")]
+    assert skips == [f"skipped {cache}:2: truncated cache line"]
+    # the new rows start on a line of their own, and K4 was a hit
+    rows = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert len(rows) > 1 and [row["g6"] for row in rows].count("C~") == 1
 
 
 def test_selftest_reports_the_known_failure(capsys):
