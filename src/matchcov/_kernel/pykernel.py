@@ -63,6 +63,10 @@ def canon_auto(n, adj):
     perm[i] is the vertex placed at canonical position i, orbits[v] is a
     representative label of v's automorphism orbit, and gens is the list of
     automorphisms discovered by the search (they generate the full group).
+
+    perm[-1] is always a vertex of maximum degree: the search starts from
+    degree colors, and refinement and individualization only split color
+    cells, never reorder them.  Generation relies on this (see generate.py).
     """
     if n == 0:
         return b"\x00", (), (), ()

@@ -7,6 +7,8 @@ other exception).
 """
 
 import argparse
+import errno
+import os
 import sys
 
 from .catalog import catalog as named_graph
@@ -122,6 +124,8 @@ def cmd_census(args):
         jobs=args.jobs,
         cache_path=args.cache or "",
     )
+    if args.out:
+        _check_report_path(args.out)
     summary, records = run_census(cfg)
     if args.out:
         emit_report(summary, records, fmt=args.format, path=args.out)
@@ -143,6 +147,23 @@ def cmd_census(args):
     for path, lineno, msg in summary.errors:
         print(f"error {path}:{lineno}: {msg}")
     return EXIT_OK if summary.passed() else EXIT_VERDICT_FAIL
+
+
+def _check_report_path(path):
+    """Raise the OSError that writing the report would, before the census runs.
+
+    The report file itself is neither created nor truncated here.
+    """
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def cmd_selftest(args):

@@ -13,6 +13,13 @@ connectivity filters, and runs the canonical-deletion test.  Cached
 intermediate levels call it with no filters, so they stay complete (min
 degree is not monotone under vertex deletion); final_level passes its
 filters, which prune children before their canonical-form call.
+
+Only children whose new vertex has maximum degree reach canon_auto.  The
+labeling starts from degree colors, and refinement and individualization
+only split color cells without reordering them, so the vertex at the last
+canonical position always has maximum degree.  Vertices in one orbit have
+equal degree, so a child whose new vertex falls short of the maximum would
+fail the canonical-deletion test anyway: skipping it is exact.
 """
 
 from . import _kernel
@@ -72,9 +79,16 @@ class CanonicalAugmenter:
             if min(degs) < min_degree - 1:
                 continue
             forced = sum(1 << i for i, d in enumerate(degs) if d < min_degree)
+            # in the child, the old vertices' maximum degree is dmax, plus
+            # one when s meets top
+            dmax = max(degs)
+            top = sum(1 << i for i, d in enumerate(degs) if d == dmax)
             for s in _children(parent_adj, autos):
-                if (s & forced) != forced or s.bit_count() < min_degree:
+                k = s.bit_count()
+                if (s & forced) != forced or k < min_degree:
                     continue
+                if k < dmax + bool(s & top):
+                    continue  # the new vertex cannot be last in canonical order
                 adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
                 if connected and not _spans(adj, (1 << n) - 1):
                     continue

@@ -142,6 +142,22 @@ K4_CACHE_ROW = ('{"b_invariant": 0, "brick": true, "claw_free": true, '
                 '"n": 4, "solitary": 6}\n')
 
 
+def test_census_checks_the_report_path_before_it_runs(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(K4_CACHE_ROW)
+    before = cache.read_bytes()
+    report = tmp_path / "no-such-dir" / "r.jsonl"
+    code, out, err = run(capsys, "census", "--max-n", "6", "--check", "thm11",
+                         "--out", str(report), "--cache", str(cache))
+    assert code == 2
+    assert err.startswith("error: ") and str(report) in err and err.count("\n") == 1
+    assert "verdict" not in out
+    assert cache.read_bytes() == before  # the census never ran
+    code, _, err = run(capsys, "census", "--max-n", "4", "--check", "thm11",
+                       "--out", str(tmp_path))
+    assert code == 2 and str(tmp_path) in err
+
+
 def test_census_crash_is_an_internal_error(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     cache.write_text('{"b_invariant": 0, "bri\n' + K4_CACHE_ROW)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from matchcov import _kernel
 from matchcov.errors import CapacityError
 from matchcov.generate import CanonicalAugmenter, generate_all_graphs
 from matchcov.graph import canonical_form, is_connected
@@ -25,6 +26,21 @@ def test_counts_match_burnside_oracle():
         assert sum(1 for _ in generate_all_graphs(n)) == KNOWN_COUNTS[n]
 
 
+def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch):
+    real = _kernel.canon_auto
+    labeled = []
+
+    def checked(n, adj):
+        assert adj[n - 1].bit_count() == max(a.bit_count() for a in adj)
+        labeled.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(_kernel, "canon_auto", checked)
+    assert sum(1 for _ in generate_all_graphs(7)) == KNOWN_COUNTS[7]
+    assert sum(1 for _ in generate_all_graphs(8, min_degree=3, connected=True)) == 2589
+    assert 8 in labeled
+
+
 def test_no_duplicate_classes_up_to_6():
     for n in range(1, 7):
         certs = [canonical_form(g) for g in generate_all_graphs(n)]
@@ -41,9 +57,10 @@ def test_min_degree_connected_filter():
         assert g.min_degree() >= 3 and is_connected(g)
     # the filtered final level is exactly the filtered full level
     aug = CanonicalAugmenter()
-    for n in (6, 7):
+    for n in (6, 7, 8):
         filtered = generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug)
-        full = generate_all_graphs(n, augmenter=aug)
+        full = list(generate_all_graphs(n, augmenter=aug))
+        assert len(full) == KNOWN_COUNTS[n]
         assert sorted(map(canonical_form, filtered)) == sorted(
             canonical_form(g) for g in full if g.min_degree() >= 3 and is_connected(g))
 

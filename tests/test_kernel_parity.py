@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from matchcov._kernel import pykernel
+from matchcov.generate import generate_all_graphs
 
 import oracles
 
@@ -80,6 +81,23 @@ def test_canon_parity_symmetric_graphs(ckernel):
     for n, edges in fixtures:
         adj = _adj(n, edges)
         assert pykernel.canon_auto(n, adj)[0] == ckernel.canon_auto(n, adj)[0]
+
+
+def _assert_last_position_has_max_degree(kernel):
+    # generation skips every child whose new vertex is below maximum degree
+    graphs = [(g.n, g.adj) for n in range(1, 8) for g in generate_all_graphs(n)]
+    graphs += [(n, _adj(n, edges)) for n, edges in _cases(431, 300, max_n=14)]
+    for n, adj in graphs:
+        perm = kernel.canon_auto(n, adj)[1]
+        assert adj[perm[-1]].bit_count() == max(a.bit_count() for a in adj)
+
+
+def test_canon_puts_a_max_degree_vertex_last():
+    _assert_last_position_has_max_degree(pykernel)
+
+
+def test_canon_puts_a_max_degree_vertex_last_compiled(ckernel):
+    _assert_last_position_has_max_degree(ckernel)
 
 
 def test_matching_parity(ckernel):
