@@ -7,12 +7,15 @@ automorphism orbit as the vertex the canonical labeling would delete.  Each
 isomorphism class is produced exactly once, with no global seen-set, so the
 scan order is deterministic and levels are cheap to cache.
 
-One loop, CanonicalAugmenter._augment, builds every level: it extends each
-parent by each orbit-representative neighborhood, applies the min-degree and
-connectivity filters, and runs the canonical-deletion test.  Cached
-intermediate levels call it with no filters, so they stay complete (min
-degree is not monotone under vertex deletion); final_level passes its
-filters, which prune children before their canonical-form call.
+One loop, CanonicalAugmenter._augment, builds every level.  It runs over
+the neighborhoods s of the new vertex in ascending order and applies the
+cheap tests (the edges min_degree forces, min_degree, the max-degree pretest
+below) before any orbit work.  The parent's automorphisms preserve |s| and
+vertex degrees, so an orbit passes these tests whole or not at all: the first
+s of an orbit to pass is its smallest member, and only that s has its orbit
+walked and marked seen.  Cached intermediate levels run with no filters, so
+they stay complete (min degree is not monotone under vertex deletion);
+final_level passes its filters, connectivity included.
 
 Only children whose new vertex has maximum degree reach canon_auto.  The
 labeling starts from degree colors, and refinement and individualization
@@ -27,35 +30,6 @@ from .errors import CapacityError
 from .graph import Graph, _spans
 
 MAX_GENERATED_N = 10
-
-
-def _children(parent_adj, autos):
-    """Candidate neighborhoods of the new vertex, one per automorphism orbit."""
-    k = len(parent_adj)
-    total = 1 << k
-    if not autos:
-        return range(total)
-    seen = bytearray(total)
-    reps = []
-    for s in range(total):
-        if seen[s]:
-            continue
-        reps.append(s)
-        stack = [s]
-        seen[s] = 1
-        while stack:
-            t = stack.pop()
-            for g in autos:
-                img = 0
-                tt = t
-                while tt:
-                    v = (tt & -tt).bit_length() - 1
-                    tt &= tt - 1
-                    img |= 1 << g[v]
-                if not seen[img]:
-                    seen[img] = 1
-                    stack.append(img)
-    return reps
 
 
 class CanonicalAugmenter:
@@ -83,12 +57,24 @@ class CanonicalAugmenter:
             # one when s meets top
             dmax = max(degs)
             top = sum(1 << i for i, d in enumerate(degs) if d == dmax)
-            for s in _children(parent_adj, autos):
+            seen = bytearray(1 << (n - 1))
+            for s in range(1 << (n - 1)):
+                # the parent's automorphisms preserve |s|, forced and top, so
+                # each test passes for a whole orbit or for none of it, and the
+                # first s of an orbit to pass is its smallest member
                 k = s.bit_count()
-                if (s & forced) != forced or k < min_degree:
+                if (s & forced) != forced or k < min_degree or seen[s]:
                     continue
                 if k < dmax + bool(s & top):
                     continue  # the new vertex cannot be last in canonical order
+                stack = [s]  # mark the rest of the orbit
+                while stack:
+                    t = stack.pop()
+                    for g in autos:
+                        img = sum(1 << g[v] for v in range(n - 1) if t >> v & 1)
+                        if not seen[img]:
+                            seen[img] = 1
+                            stack.append(img)
                 adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
                 if connected and not _spans(adj, (1 << n) - 1):
                     continue

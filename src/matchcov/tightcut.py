@@ -72,12 +72,11 @@ def is_tight(g, x, pms):
 def _scan_order(n):
     """Candidate nontrivial cut shores for n, in scan order, built once.
 
-    A tuple of vertex masks: odd |X|, 3 <= |X| <= n-3, |X| <= n/2.
+    A tuple of vertex masks: odd |X| with 3 <= |X| <= n/2, so the other
+    shore has at least 3 vertices too.
     """
     subsets = []
     for size in range(3, n // 2 + 1, 2):
-        if size > n - 3:
-            break
         subsets.extend(sorted(sum(1 << v for v in comb)
                               for comb in combinations(range(n), size)))
     return tuple(subsets)

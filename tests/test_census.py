@@ -136,6 +136,26 @@ def test_census_ingested_corpus(tmp_path):
     assert summary.thm11_pass is True  # both graphs are excluded exceptions
 
 
+def test_census_funnel_exits(tmp_path):
+    # each graph leaves the funnel at its own stage
+    corpus = (
+        "G~?GW[",   # 2K4: disconnected
+        "EhEG",     # C6: minimum degree 2
+        "D~{",      # K5: odd order
+        "EFz_",     # K3,3: 3-connected but not bicritical
+        "G~`GW[",   # two K4s joined by two edges: only 2-connected
+        "G`hicc",   # R8: a brick that is not claw-free
+    )
+    path = tmp_path / "funnel.g6"
+    path.write_text("".join(line + "\n" for line in corpus))
+    summary, records = run_census(CensusConfig(
+        inputs=(str(path),), claw_free_only=True, checks=("thm11",)))
+    assert summary.totals == {"input": 6, "connected": 5, "min_degree_3": 4,
+                              "three_connected": 2, "brick": 1, "claw_free_brick": 0}
+    assert records == ()
+    assert not summary.skipped_inputs and not summary.errors
+
+
 def test_records_sorted_and_jobs_deterministic():
     cfg1 = CensusConfig(max_n=6, claw_free_only=True, checks=("main",), jobs=1)
     cfg2 = CensusConfig(max_n=6, claw_free_only=True, checks=("main",), jobs=2)

@@ -4,6 +4,8 @@ import json
 
 import networkx as nx
 
+from matchcov import census
+from matchcov.census import CensusConfig, run_census
 from matchcov.cli import main
 
 
@@ -91,6 +93,21 @@ def test_census_corpus_input(tmp_path, capsys):
     code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus))
     assert code == 0
     assert "skipped" in out
+
+
+def test_census_reports_a_thm11_violation(tmp_path, capsys, monkeypatch):
+    # with no excluded graphs, K4 (no b-invariant edge) violates theorem 1.1
+    monkeypatch.setattr(census, "_excluded_g6", lambda names: set())
+    corpus = tmp_path / "k4.g6"
+    corpus.write_text("C~\n")
+    summary, records = run_census(CensusConfig(inputs=(str(corpus),), checks=("thm11",)))
+    assert summary.thm11_violations == ("C~",)
+    assert [r.g6 for r in records] == ["C~"]
+    assert "thm11-violation" in records[0].tags
+    code, out, _ = run(capsys, "census", "--check", "thm11", "--in", str(corpus))
+    assert code == 1
+    assert "theorem-1.1 verdict: FAIL" in out
+    assert "  violation: C~\n" in out
 
 
 def test_census_lists_graphs_it_cannot_check(tmp_path, capsys):

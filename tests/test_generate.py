@@ -1,5 +1,7 @@
 """Exhaustive generation by canonical augmentation."""
 
+import hashlib
+
 import pytest
 
 from matchcov import _kernel
@@ -89,6 +91,30 @@ def test_deterministic_order():
     a = [g.edges for g in generate_all_graphs(6)]
     b = [g.edges for g in generate_all_graphs(6)]
     assert a == b
+
+
+def _edges_digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update(repr(g.edges).encode())
+    return h.hexdigest()
+
+
+def test_generated_labels_and_order_are_pinned():
+    """Generation's labeled output, in order, is pinned by digest.
+
+    Class counts cannot see a change of orbit representative or of order.  A
+    change that alters the labeled output on purpose must re-pin both digests
+    and name a witness in CHANGES.md: a run showing the classes unchanged.
+    """
+    assert _edges_digest(generate_all_graphs(7)) == (
+        "108e04c332091f2aa3383100a79f70359ab502aa88a5616cfced71f8b3a564f0")
+    # levels 1..8 as the census draws them, from one shared augmenter
+    aug = CanonicalAugmenter()
+    census_levels = (g for n in range(1, 9) for g in generate_all_graphs(
+        n, min_degree=3, connected=True, augmenter=aug))
+    assert _edges_digest(census_levels) == (
+        "4c31e3f25616a7e0518bb533098d2bcddeb8bdab6e3d778ff01963f173075a50")
 
 
 def test_shared_augmenter_reuses_levels():
