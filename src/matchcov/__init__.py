@@ -22,7 +22,7 @@ from .matching import (MatchingSet, count_perfect_matchings, count_pm_containing
                        enumerate_perfect_matchings, has_perfect_matching,
                        is_bicritical, is_brick, is_matching_covered,
                        unique_pm_bridge)
-from .tightcut import (Cut, DecompositionResult, b_count, decompose,
-                       find_nontrivial_tight_cut, is_tight, make_cut)
+from .tightcut import (Cut, DecompositionResult, decompose, find_nontrivial_tight_cut,
+                       is_tight, make_cut)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .errors import (CapacityError, CatalogError, Graph6Error, GraphBuildError,
 from .generate import MAX_GENERATED_N
 from .graph import (delete_edge, is_bipartite, is_claw_free, is_connected,
                     is_three_connected, parse_graph6, to_graph6, underlying_simple)
-from .matching import is_bicritical, is_brick
+from .matching import is_bicritical
 from .tightcut import decompose
 
 EXIT_OK = 0
@@ -79,8 +79,8 @@ def cmd_props(args):
         "claw_free": is_claw_free(g),
         "three_connected": is_three_connected(g),
         "bicritical": is_bicritical(g),
-        "brick": is_brick(g),
     }
+    flags["brick"] = flags["three_connected"] and flags["bicritical"]
     for key, val in flags.items():
         print(f"{key}={str(val).lower() if isinstance(val, bool) else val}")
     return EXIT_OK
@@ -104,7 +104,7 @@ def cmd_decompose(args):
     g = resolve_graph(args.graph)
     result = decompose(g)
     print(f"b={result.b} braces={result.braces} pieces={len(result.pieces)}")
-    for i, (piece, cert, nonbip) in enumerate(result.pieces):
+    for i, (piece, nonbip) in enumerate(result.pieces):
         kind = "brick" if nonbip else "brace"
         simple = underlying_simple(piece)
         print(f"piece {i}: {kind} n={piece.n} m={piece.m} simple_g6={to_graph6(simple)}")

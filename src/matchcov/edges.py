@@ -7,8 +7,8 @@ as not-b-invariant.
 Every verdict comes from _edge_class, which works from the host's complete
 perfect-matching list: the matchings of G-e are the host's matchings that
 avoid e, and the matchings that contain e give the solitary count.  The list
-and b(G) are computed once per host, so each edge costs one brick count of
-G-e (removable edges only, with no canonical labels) and no further matching
+and b(G) are computed once per host, so each edge costs one decompose of G-e
+(removable edges only; decompose labels no piece) and no further matching
 search.
 """
 
@@ -18,7 +18,7 @@ from .errors import PreconditionError
 from .graph import delete_edge
 from .matching import (MatchingSet, _covered_by, count_pm_containing,
                        enumerate_perfect_matchings, is_matching_covered)
-from .tightcut import b_count
+from .tightcut import decompose
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def classify_edge(g, e):
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
     pms = enumerate_perfect_matchings(g)
-    return _edge_class(g, e, pms, b_count(g, pms))
+    return _edge_class(g, e, pms, decompose(g, pms).b)
 
 
 def _edge_class(g, e, pms, b_of_g):
@@ -78,14 +78,14 @@ def _edge_class(g, e, pms, b_of_g):
     removable = _covered_by(rest, avoiding)
     b_inv = None
     if removable:
-        b_inv = b_count(rest, MatchingSet(avoiding, True)) == b_of_g
+        b_inv = decompose(rest, MatchingSet(avoiding, True)).b == b_of_g
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
 
 
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
     pms = enumerate_perfect_matchings(g)
-    b_of_g = b_count(g, pms)
+    b_of_g = decompose(g, pms).b
     classes = tuple(_edge_class(g, e, pms, b_of_g) for e in range(g.m))
     return EdgeClassReport(
         classes=classes,

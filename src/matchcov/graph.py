@@ -314,13 +314,11 @@ def is_claw_free(g):
 
 def canonical_form(g):
     """Certificate bytes of the underlying simple graph (multiplicities ignored)."""
-    gs = underlying_simple(g)
-    return _kernel.canon_auto(gs.n, gs.adj)[0]
+    return _kernel.canon_auto(g.n, g.adj)[0]
 
 
 def automorphism_orbits(g):
-    gs = underlying_simple(g)
-    return _kernel.canon_auto(gs.n, gs.adj)[2]
+    return _kernel.canon_auto(g.n, g.adj)[2]
 
 
 def is_isomorphic(g1, g2):

@@ -43,7 +43,7 @@ def run_selftest(verbose=False):
     k4 = catalog("K4")
     _check(results, "b=2 with two K4 pieces after removing the hub-path edge",
            dec.b == 2 and all(is_isomorphic(underlying_simple(p), k4)
-                              for p, _, _ in dec.pieces))
+                              for p, _ in dec.pieces))
 
     f3 = catalog("F3")
     stripped = f3

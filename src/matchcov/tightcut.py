@@ -7,9 +7,9 @@ traces reproducible; it is built once per vertex count and cached.  A test
 that checks the Lovasz invariance of the brick/brace multiset shuffles the
 scan by replacing _scan_order, which the search reads on every call.
 
-decompose and b_count share one contraction recursion (_contract_pieces).
-Only decompose labels the pieces canonically; b_count just counts the
-nonbipartite ones, which is all edge classification needs.
+decompose runs the one contraction recursion and labels no piece: b, which
+is all edge classification needs, counts the nonbipartite pieces, and
+DecompositionResult.certificates() labels the pieces only when asked.
 
 Cut boundaries are computed here, not in the kernel; the compiled kernel
 still defines boundary_mask, canon_full and canon_cert, which nothing calls.
@@ -39,19 +39,22 @@ class Cut:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    pieces: tuple      # (multigraph, simple certificate, nonbipartite flag)
+    pieces: tuple      # (multigraph, nonbipartite flag)
     b: int             # number of bricks
     braces: int
     trace: tuple       # cuts chosen, one per contraction step
 
     def certificates(self):
-        """Multiset of piece certificates, sorted."""
-        return tuple(sorted(cert for _, cert, _ in self.pieces))
+        """Multiset of piece certificates, sorted; labels every piece."""
+        return tuple(sorted(canonical_form(h) for h, _ in self.pieces))
 
 
 def make_cut(g, x):
     """Cut record for vertex set x (iterable of vertices or bitmask)."""
-    x_mask = x if isinstance(x, int) else sum(1 << v for v in set(x))
+    vs = None if isinstance(x, int) else set(x)
+    if vs and min(vs) < 0:
+        raise PreconditionError("cut vertices must be nonnegative")
+    x_mask = x if vs is None else sum(1 << v for v in vs)
     size = x_mask.bit_count()
     if size == 0 or size >= g.n or x_mask >> g.n:
         raise PreconditionError("cut set must be a nonempty proper subset of the vertices")
@@ -90,6 +93,8 @@ def find_nontrivial_tight_cut(g, pms=None):
         pms = enumerate_perfect_matchings(g)
         if not _covered_by(g, pms.matchings):
             raise PreconditionError("tight-cut search requires a matching covered graph")
+    elif not pms.complete:
+        raise PreconditionError("tight-cut search requires a complete MatchingSet")
     eu, ev = g.edge_arrays
     x = _kernel.first_tight_cut(eu, ev, pms.matchings, _scan_order(g.n))
     if x < 0:
@@ -97,13 +102,12 @@ def find_nontrivial_tight_cut(g, pms=None):
     return make_cut(g, x)
 
 
-def _contract_pieces(g, pms=None):
-    """The contraction recursion behind decompose and b_count.
+def decompose(g, pms=None):
+    """Tight cut decomposition into bricks and braces; labels no piece.
 
-    Returns ([(piece, nonbipartite)], trace) with pieces in recursion order
-    (X side first) and one cut per contraction step.  pms, when given, is the
-    complete MatchingSet of g; it replaces the enumeration of g itself, not of
-    the pieces.
+    Pieces follow the recursion (X side first), and the trace holds one cut
+    per contraction step.  pms, when given, is the complete MatchingSet of g;
+    it replaces the enumeration of g itself, not of the pieces.
     """
     if pms is None:
         pms = enumerate_perfect_matchings(g)
@@ -123,35 +127,10 @@ def _contract_pieces(g, pms=None):
             pieces.append((h, not is_bipartite(h)))
             return
         trace.append(cut)
-        xs = cut.vertices()
         co = [v for v in range(h.n) if not cut.x_mask >> v & 1]
-        g1, _ = contract(h, xs)   # shrink X
-        g2, _ = contract(h, co)   # shrink the complement
-        rec(g1)
-        rec(g2)
+        rec(contract(h, cut.vertices())[0])   # shrink X
+        rec(contract(h, co)[0])               # shrink the complement
 
     rec(g, pms)
-    return pieces, trace
-
-
-def decompose(g, pms=None):
-    """Tight cut decomposition into bricks and braces.
-
-    Recursively contracts along nontrivial tight cuts; b counts nonbipartite
-    pieces, and each piece carries its canonical certificate.  The piece list
-    order follows the recursion (X side first).  pms, when given, is the
-    complete MatchingSet of g.
-    """
-    found, trace = _contract_pieces(g, pms)
-    pieces = tuple((h, canonical_form(h), nb) for h, nb in found)
-    b = sum(1 for _, nb in found if nb)
-    return DecompositionResult(pieces, b, len(pieces) - b, tuple(trace))
-
-
-def b_count(g, pms=None):
-    """Number of bricks in the tight cut decomposition; labels no piece.
-
-    pms, when given, is the complete MatchingSet of g.
-    """
-    found, _ = _contract_pieces(g, pms)
-    return sum(1 for _, nb in found if nb)
+    b = sum(1 for _, nb in pieces if nb)
+    return DecompositionResult(tuple(pieces), b, len(pieces) - b, tuple(trace))

@@ -57,7 +57,7 @@ def test_criterion_2_wheel_family_quantitative():
     res = decompose(delete_edge(g, g.edge_index(3, 4)))
     k4 = catalog("K4")
     ok &= res.b == 2
-    ok &= all(is_isomorphic(underlying_simple(p), k4) for p, _, _ in res.pieces)
+    ok &= all(is_isomorphic(underlying_simple(p), k4) for p, _ in res.pieces)
     _verdict(2, "b-invariant counts 3/5/5/5 all solitary; split into two K4",
              ok, time.monotonic() - t0, 1)
 

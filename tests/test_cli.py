@@ -4,7 +4,7 @@ import json
 
 import networkx as nx
 
-from matchcov import census
+from matchcov import census, cli, matching
 from matchcov.census import CensusConfig, run_census
 from matchcov.cli import main
 
@@ -25,6 +25,22 @@ def test_props_petersen(capsys):
     code, out, _ = run(capsys, "props", "PETERSEN")
     assert code == 0
     assert "brick=true" in out and "claw_free=false" in out
+
+
+def test_props_tests_bicriticality_once(capsys, monkeypatch):
+    calls = []
+    real = matching.is_bicritical
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(cli, "is_bicritical", counting)
+    monkeypatch.setattr(matching, "is_bicritical", counting)
+    code, out, _ = run(capsys, "props", "R8")
+    assert code == 0
+    assert "bicritical=true\nbrick=true\n" in out
+    assert calls == [8]
 
 
 def test_props_graph6_argument(capsys):

@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchcov.errors import Graph6Error, GraphBuildError
 from matchcov.graph import (Graph, add_edge, automorphism_orbits, bridges, build,
@@ -69,6 +71,33 @@ def test_graph6_roundtrip_matches_reference():
         back = parse_graph6(line)
         assert back.n == n
         assert sorted(back.edges) == sorted(edges)
+
+
+GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@st.composite
+def graph6_like(draw):
+    """A size header, short or long, and a body of the right length or one
+    byte off, maybe with a header tag in front and whitespace around."""
+    n = draw(st.integers(0, 66))
+    head = chr(n + 63)
+    if n > 62:
+        head = "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = draw(st.text(GRAPH6_CHARS, min_size=max(need - 1, 0), max_size=need + 1))
+    tag = draw(st.sampled_from(("", ">>graph6<<", " ")))
+    return tag + head + body + draw(st.sampled_from(("", "\n", " ")))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.text(GRAPH6_CHARS), graph6_like()))
+def test_parse_graph6_rejects_or_agrees_with_networkx(text):
+    try:
+        g = parse_graph6(text)
+    except Graph6Error:
+        return
+    assert (g.n, sorted(g.edges)) == oracles.ref_parse_graph6(text.strip())
 
 
 def test_parse_reference_encodings():

@@ -5,14 +5,15 @@ from itertools import combinations
 
 import pytest
 
+import matchcov
 from matchcov._kernel import pykernel
 from matchcov.catalog import catalog, names
 from matchcov.errors import PreconditionError
 from matchcov.graph import (build, canonical_form, contract, delete_edge, is_isomorphic,
                             underlying_simple)
 from matchcov.matching import enumerate_perfect_matchings, is_matching_covered
-from matchcov.tightcut import (_scan_order, b_count, decompose, find_nontrivial_tight_cut,
-                               is_tight, make_cut)
+from matchcov.tightcut import (_scan_order, decompose, find_nontrivial_tight_cut, is_tight,
+                               make_cut)
 
 import oracles
 
@@ -31,6 +32,8 @@ def test_make_cut_boundary_and_trivial_flags():
         make_cut(g, set())
     with pytest.raises(PreconditionError):
         make_cut(g, {0, 1, 2, 3})
+    with pytest.raises(PreconditionError):
+        make_cut(g, [-1])
 
 
 def test_tight_cut_in_hexagon():
@@ -45,6 +48,11 @@ def test_is_tight_rejects_truncated_matching_lists():
     pms = enumerate_perfect_matchings(g, cap=2)
     with pytest.raises(PreconditionError):
         is_tight(g, {0, 1}, pms)
+    # bricks: one matching alone would make {0, 1, 2} look tight in each
+    for name in ("C6BAR", "PETERSEN", "R8"):
+        g = catalog(name)
+        with pytest.raises(PreconditionError):
+            find_nontrivial_tight_cut(g, enumerate_perfect_matchings(g, cap=1))
 
 
 def test_hub_path_deletion_cut():
@@ -86,11 +94,10 @@ def test_decompose_two_bricks_both_k4():
     res = decompose(gp)
     assert res.b == 2 and res.braces == 0
     k4 = catalog("K4")
-    for piece, cert, nonbip in res.pieces:
+    for piece, nonbip in res.pieces:
         assert nonbip
         assert is_isomorphic(underlying_simple(piece), k4)
-        assert cert == canonical_form(k4)
-    assert b_count(gp) == 2
+    assert res.certificates() == (canonical_form(k4),) * 2
 
 
 def test_b_count_matches_reference_on_random_graphs():
@@ -103,7 +110,7 @@ def test_b_count_matches_reference_on_random_graphs():
         if not is_matching_covered(g):
             continue
         checked += 1
-        assert b_count(g) == oracles.nx_b_count(oracles.to_nx(g))
+        assert decompose(g).b == oracles.nx_b_count(oracles.to_nx(g))
 
 
 def test_decomposition_invariance_under_scan_order(shuffled_decompose):
@@ -192,13 +199,24 @@ def test_python_scan_tolerates_vertices_without_edges():
     assert pykernel.first_tight_cut(eu, ev, [], [1 << 9]) == 1 << 9
 
 
-def test_b_count_agrees_with_decompose():
-    for name in names():
-        g = catalog(name)
-        assert b_count(g) == decompose(g).b, name
-    for g in _covered_graphs(random.Random(433), 12, True):
-        assert b_count(g) == decompose(g).b
-        assert b_count(g, enumerate_perfect_matchings(g)) == decompose(g).b
+def test_decompose_labels_pieces_only_for_certificates(monkeypatch):
+    calls = []
+    labeler = matchcov._kernel.canon_auto
+
+    def counting(n, adj):
+        calls.append(n)
+        return labeler(n, adj)
+
+    monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
+    graphs = [catalog(name) for name in names()]
+    graphs += _covered_graphs(random.Random(433), 12, True)
+    for g in graphs:
+        calls.clear()
+        res = decompose(g)
+        assert decompose(g, enumerate_perfect_matchings(g)) == res
+        assert calls == []
+        res.certificates()
+        assert sorted(calls) == sorted(h.n for h, _ in res.pieces)
 
 
 def test_shuffled_scan_leaves_the_cached_order_intact(shuffled_decompose):
