@@ -12,12 +12,14 @@ verdicts are supported:
   thm11  every brick other than K4, the prism, R8 and the Petersen graph has
          at least two b-invariant edges.
 
-Each surviving graph is canonically labeled once, in the funnel; that
-canonical graph6 keys its record, the cache and the report order, so reports
-are byte-stable across runs and worker counts.  The row schema lives in
-CensusRecord alone: classification returns one, a cache hit becomes one, and
-the report lines and cache lines are written from its fields.  The cache is
-an append-only JSONL file with one line per record, without the tags.
+Each surviving graph is canonically labeled once: a generated graph by
+generation, which hands that labeling on with the graph, and an input graph
+in the funnel.  Its canonical graph6 keys its record, the cache and the
+report order, so reports are byte-stable across runs and worker counts.  The
+row schema lives in CensusRecord alone: classification returns one, a cache
+hit becomes one, and the report lines and cache lines are written from its
+fields.  The cache is an append-only JSONL file with one line per record,
+without the tags.
 """
 
 import json

@@ -23,6 +23,10 @@ only split color cells without reordering them, so the vertex at the last
 canonical position always has maximum degree.  Vertices in one orbit have
 equal degree, so a child whose new vertex falls short of the maximum would
 fail the canonical-deletion test anyway: skipping it is exact.
+
+Each accepted child keeps the canonical perm of the canon_auto call that
+accepted it.  generate_all_graphs hands it on as Graph.canonical_perm, so
+canonical_graph6, the census key, labels no generated graph again.
 """
 
 from . import _kernel
@@ -36,8 +40,9 @@ class CanonicalAugmenter:
     """Level-cached generator of all isomorphism classes up to MAX_GENERATED_N."""
 
     def __init__(self):
-        # level k: list of (adjacency tuple, automorphism generators)
-        self._levels = {1: [((0,), ())]}
+        # level k: list of (adjacency tuple, automorphism generators,
+        # canonical perm)
+        self._levels = {1: [((0,), (), (0,))]}
 
     def _grow_to(self, n):
         for k in range(max(self._levels) + 1, n + 1):
@@ -45,9 +50,10 @@ class CanonicalAugmenter:
 
     def _augment(self, n, min_degree=0, connected=False):
         """Accepted children on n vertices of every level n-1 parent, as
-        (adjacency, automorphism generators), that pass the filters."""
+        (adjacency, automorphism generators, canonical perm), that pass the
+        filters."""
         out = []
-        for parent_adj, autos in self._levels[n - 1]:
+        for parent_adj, autos, _ in self._levels[n - 1]:
             # every parent vertex short of min_degree must gain the new edge
             degs = [a.bit_count() for a in parent_adj]
             if min(degs) < min_degree - 1:
@@ -83,17 +89,19 @@ class CanonicalAugmenter:
                 # the child survives only when the freshly added vertex is in
                 # its orbit
                 if orbits[n - 1] == orbits[perm[n - 1]]:
-                    out.append((adj, gens))
+                    out.append((adj, gens, perm))
         return out
 
     def classes(self, n):
-        """All isomorphism classes on n vertices, as adjacency tuples."""
+        """All isomorphism classes on n vertices, as (adjacency tuple,
+        canonical perm) pairs."""
         _check_n(n)
         self._grow_to(n)
-        return [adj for adj, _ in self._levels[n]]
+        return [(adj, perm) for adj, _, perm in self._levels[n]]
 
     def final_level(self, n, min_degree=0, connected=False):
-        """Classes on n vertices passing the pushed-down filters.
+        """Classes on n vertices passing the pushed-down filters, as
+        (adjacency tuple, canonical perm) pairs.
 
         The filters prune candidate children before their canonical form is
         computed; parents are still generated unfiltered, which keeps the
@@ -101,9 +109,9 @@ class CanonicalAugmenter:
         """
         _check_n(n)
         if n == 1:
-            return [] if min_degree > 0 else [(0,)]
+            return [] if min_degree > 0 else [((0,), (0,))]
         self._grow_to(n - 1)
-        return [adj for adj, _ in self._augment(n, min_degree, connected)]
+        return [(adj, perm) for adj, _, perm in self._augment(n, min_degree, connected)]
 
 
 def _check_n(n):
@@ -112,7 +120,7 @@ def _check_n(n):
             f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}, got {n}")
 
 
-def _adj_to_graph(adj):
+def _adj_to_graph(adj, perm):
     n = len(adj)
     edges = []
     for u in range(n):
@@ -121,7 +129,9 @@ def _adj_to_graph(adj):
             v = (nb & -nb).bit_length() - 1
             nb &= nb - 1
             edges.append((u, v))
-    return Graph(n, tuple(edges))
+    g = Graph(n, tuple(edges))
+    g.__dict__["canonical_perm"] = perm    # g.adj is adj: fill the cached property
+    return g
 
 
 def generate_all_graphs(n, min_degree=0, connected=False, augmenter=None):
@@ -134,5 +144,5 @@ def generate_all_graphs(n, min_degree=0, connected=False, augmenter=None):
         adjs = aug.final_level(n, min_degree=min_degree, connected=connected)
     else:
         adjs = aug.classes(n)
-    for adj in adjs:
-        yield _adj_to_graph(adj)
+    for adj, perm in adjs:
+        yield _adj_to_graph(adj, perm)

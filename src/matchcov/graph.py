@@ -29,6 +29,15 @@ class Graph:
         return tuple(masks)
 
     @cached_property
+    def canonical_perm(self):
+        """The simple view's canonical labeling: vertex at each position.
+
+        Generation fills it in for the graphs it yields, because it has
+        labeled exactly this adjacency already.
+        """
+        return _kernel.canon_auto(self.n, self.adj)[1]
+
+    @cached_property
     def edge_arrays(self):
         eu = tuple(e[0] for e in self.edges)
         ev = tuple(e[1] for e in self.edges)
@@ -141,12 +150,10 @@ def to_graph6(g):
 
 def canonical_graph6(g):
     """graph6 of the canonically relabeled simple view (census cache key)."""
-    gs = underlying_simple(g)
-    _, perm, _, _ = _kernel.canon_auto(gs.n, gs.adj)
-    pos = [0] * gs.n
-    for i, v in enumerate(perm):
+    pos = [0] * g.n
+    for i, v in enumerate(g.canonical_perm):
         pos[v] = i
-    return to_graph6(_relabeled(gs, pos, gs.n))
+    return to_graph6(_relabeled(underlying_simple(g), pos, g.n))
 
 
 # ---------------------------------------------------------------------------

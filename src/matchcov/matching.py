@@ -3,6 +3,10 @@
 Everything here is exact; graphs beyond 32 vertices are refused rather than
 approximated.  Matchings are bitmasks over edge indices, and parallel edges
 count as distinct edges throughout (contracted graphs rely on this).
+
+Counting and listing go through the kernel.  Bicriticality asks only whether
+each G-u-v has a perfect matching, so it answers every pair from one memo
+over alive vertex sets of the simple view (see is_bicritical).
 """
 
 from dataclasses import dataclass
@@ -87,17 +91,37 @@ def _covered_by(g, matchings):
 
 
 def is_bicritical(g):
-    """G minus any two distinct vertices still has a perfect matching."""
+    """G minus any two distinct vertices still has a perfect matching.
+
+    One memo per call maps a bit set of alive vertices to whether the simple
+    view induced on it has a perfect matching.  A set is filled in by matching
+    its lowest vertex to each of its neighbours in the set, and every pair
+    u < v is then looked up as the full set less u and v.  The pairs share
+    most of their subproblems, so no state is searched twice.
+    """
     _check_size(g)
     if g.n % 2 or g.n < 2:
         return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            rest = delete_vertices(g, (u, v))
-            eu, ev = rest.edge_arrays
-            if _kernel.count_pms(rest.n, eu, ev, cap=1) == 0:
-                return False
-    return True
+    adj = g.adj
+    memo = {0: True}
+
+    def has_pm(alive):
+        found = memo.get(alive)
+        if found is None:
+            low = alive & -alive
+            rest = alive ^ low
+            nb = adj[low.bit_length() - 1] & rest
+            found = False
+            while nb and not found:
+                w = nb & -nb
+                nb ^= w
+                found = has_pm(rest ^ w)
+            memo[alive] = found
+        return found
+
+    full = (1 << g.n) - 1
+    return all(has_pm(full & ~(1 << u) & ~(1 << v))
+               for u in range(g.n) for v in range(u + 1, g.n))
 
 
 def is_brick(g):

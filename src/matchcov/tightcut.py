@@ -111,7 +111,9 @@ def decompose(g, pms=None):
     """
     if pms is None:
         pms = enumerate_perfect_matchings(g)
-    if not (pms.complete and _covered_by(g, pms.matchings)):
+    elif not pms.complete:
+        raise PreconditionError("decomposition requires a complete MatchingSet")
+    if not _covered_by(g, pms.matchings):
         raise PreconditionError(
             "decomposition and edge classification require a matching covered graph")
     pieces = []

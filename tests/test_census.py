@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 import matchcov._kernel
 from matchcov import census
+from matchcov.catalog import FAMILY_G, catalog
 from matchcov.census import (CensusConfig, CensusRecord, emit_report,
                              family_g_certs, ingest_graph6, run_census)
 from matchcov.errors import CapacityError, MatchcovError
-from matchcov.graph import canonical_graph6, parse_graph6
+from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.graph import Graph, canonical_graph6, parse_graph6
 
 # the fifth claw-free brick with the all-b-invariant-edges-solitary property:
 # K6 minus the four edges 0-1, 0-2, 1-3, 4-5 (see README "A genuine finding");
@@ -244,6 +247,40 @@ def test_each_brick_is_labeled_once(tmp_path, monkeypatch):
     _, warm = run_census(cfg)
     assert warm == cold
     assert len(calls) == cold_calls
+
+
+def test_generated_survivors_are_labeled_only_in_generation(monkeypatch):
+    """A generated census labels nothing but generation's children and the
+    catalog graphs its verdicts exclude or expect."""
+    calls = []
+    labeler = matchcov._kernel.canon_auto
+
+    def counting(n, adj):
+        calls.append((n, tuple(adj)))
+        return labeler(n, adj)
+
+    monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
+    aug = CanonicalAugmenter()
+    for n in range(1, 7):
+        list(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug))
+    generated = Counter(calls)
+    calls.clear()
+    run_census(CensusConfig(max_n=6, checks=("main", "thm11")))
+    extra = Counter(calls) - generated
+    assert not generated - Counter(calls)
+    keys = ("K4", "C6BAR", "R8", "PETERSEN") + FAMILY_G
+    assert set(extra) <= {(catalog(name).n, catalog(name).adj) for name in keys}
+    assert sum(extra.values()) <= len(keys) + 2    # K4 and C6BAR serve both checks
+
+
+def test_generated_graphs_carry_their_census_key():
+    """The labeling generation hands on gives the key a fresh labeling gives."""
+    aug = CanonicalAugmenter()
+    for n in range(1, 9):
+        for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug):
+            assert "canonical_perm" in vars(g)
+            fresh = Graph(g.n, g.edges)
+            assert canonical_graph6(g) == canonical_graph6(fresh)
 
 
 def test_cache_lines_keep_their_format(tmp_path):

@@ -1,12 +1,14 @@
 """Exact perfect matching enumeration and the derived predicates."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from matchcov.catalog import catalog
 from matchcov.errors import CapacityError, PreconditionError
-from matchcov.graph import build, bridges
+from matchcov.generate import generate_all_graphs
+from matchcov.graph import build, bridges, contract
 from matchcov.matching import (MAX_EXACT_N, count_perfect_matchings,
                                count_pm_containing, enumerate_perfect_matchings,
                                has_perfect_matching, is_bicritical, is_brick,
@@ -104,6 +106,53 @@ def test_bicritical_and_brick_named_graphs():
     assert not is_bicritical(k33) and not is_brick(k33)
     c6 = build(6, [(i, (i + 1) % 6) for i in range(6)])
     assert not is_brick(c6)
+
+
+def _bicritical_by_dp(g):
+    """Every G-u-v has a perfect matching, by the DP oracle; False below two
+    vertices, as the library defines it."""
+    if g.n < 2:
+        return False
+    for u, v in combinations(range(g.n), 2):
+        keep = [w for w in range(g.n) if w not in (u, v)]
+        rest = [(keep.index(a), keep.index(b)) for a, b in g.edges
+                if a in keep and b in keep]
+        if not oracles.pm_count_dp(g.n - 2, rest):
+            return False
+    return True
+
+
+def test_bicritical_matches_dp_oracle():
+    classes = [g for n in range(1, 8) for g in generate_all_graphs(n)]
+    graphs = []
+    rng = random.Random(109)
+    for _ in range(80):
+        n = 2 * rng.randrange(1, 8)
+        graphs.append(build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.4, 0.9))))
+    # contractions of a shore make parallel edges
+    for name, shore in (("PETERSEN", (0, 2, 4)), ("R8", (0, 1, 2)),
+                        ("W6_PLUSPLUS", (0, 1, 2)), ("K33", (0, 1, 3)),
+                        ("F3", (1, 2, 3))):
+        h, _ = contract(catalog(name), shore)
+        assert not h.is_simple()
+        graphs.append(h)
+    assert ([is_bicritical(g) for g in classes]
+            == [_bicritical_by_dp(g) for g in classes])
+    verdicts = [is_bicritical(g) for g in graphs]
+    assert verdicts == [_bicritical_by_dp(g) for g in graphs]
+    assert any(verdicts) and not all(verdicts)
+
+
+def _mobius_ladder(n):
+    """Cycle on n vertices plus its n/2 diameters; a cubic brick when 4 | n."""
+    return build(n, [(i, (i + 1) % n) for i in range(n)]
+                 + [(i, i + n // 2) for i in range(n // 2)])
+
+
+def test_bicritical_at_32_vertices():
+    k = MAX_EXACT_N // 2
+    assert not is_bicritical(build(2 * k, [(a, k + b) for a in range(k) for b in range(k)]))
+    assert is_brick(_mobius_ladder(MAX_EXACT_N))
 
 
 def test_unique_pm_bridge_examples():

@@ -48,11 +48,14 @@ def test_is_tight_rejects_truncated_matching_lists():
     pms = enumerate_perfect_matchings(g, cap=2)
     with pytest.raises(PreconditionError):
         is_tight(g, {0, 1}, pms)
-    # bricks: one matching alone would make {0, 1, 2} look tight in each
+    # bricks: one matching alone would make {0, 1, 2} look tight in each;
+    # the error names the short list, not the graph
     for name in ("C6BAR", "PETERSEN", "R8"):
         g = catalog(name)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="complete MatchingSet"):
             find_nontrivial_tight_cut(g, enumerate_perfect_matchings(g, cap=1))
+        with pytest.raises(PreconditionError, match="complete MatchingSet"):
+            decompose(g, enumerate_perfect_matchings(g, cap=1))
 
 
 def test_hub_path_deletion_cut():
