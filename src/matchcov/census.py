@@ -25,7 +25,7 @@ without the tags.
 import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .catalog import FAMILY_G, catalog
 from .edges import classify_all
@@ -144,10 +144,11 @@ def _classify_worker(payload):
 def _load_cache(path, skipped):
     """Cached rows by canonical graph6.
 
-    A last line without a newline is what an interrupted append leaves.  It
-    is cut off the file, so the next append starts a line of its own, and
-    when it does not parse it is reported in skipped as (path, line_number,
-    message).  Any other malformed line raises.
+    Every line must hold one row, as _cache_row checks, and any other line
+    raises before the file is touched.  A last line without a newline is
+    what an interrupted append leaves.  It is cut off the file, so the next
+    append starts a line of its own, and when it does not parse it is
+    reported in skipped as (path, line_number, message).
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -155,14 +156,41 @@ def _load_cache(path, skipped):
         data = fh.read()
     lines = data.split(b"\n")
     tail = lines.pop()          # empty when the file ends with a newline
-    rows = [json.loads(line) for line in lines if line.strip()]
+    rows = [_cache_row(path, lineno, line)
+            for lineno, line in enumerate(lines, start=1) if line.strip()]
     if tail:
-        os.truncate(path, len(data) - len(tail))
+        lineno = len(lines) + 1
         try:
-            rows.append(json.loads(tail))
+            json.loads(tail)
         except ValueError:
-            skipped.append((path, len(lines) + 1, "truncated cache line"))
+            skipped.append((path, lineno, "truncated cache line"))
+        else:
+            rows.append(_cache_row(path, lineno, tail))
+        os.truncate(path, len(data) - len(tail))
     return {row["g6"]: row for row in rows}
+
+
+# the cache row schema: CensusRecord's fields without the tags, by type
+_ROW_TYPES = {f.name: f.type for f in fields(CensusRecord) if f.name != "tags"}
+
+
+def _cache_row(path, lineno, line):
+    """The row on a cache line; MatchcovError naming the line unless it is a
+    JSON object with exactly the _ROW_TYPES fields, each of its type (a bool
+    is no int)."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        raise MatchcovError(f"{path}:{lineno}: cache line is not JSON") from None
+    if not isinstance(row, dict) or row.keys() != _ROW_TYPES.keys():
+        raise MatchcovError(
+            f"{path}:{lineno}: a cache row has exactly the fields {', '.join(_ROW_TYPES)}")
+    for key, typ in _ROW_TYPES.items():
+        if type(row[key]) is not typ:
+            raise MatchcovError(
+                f"{path}:{lineno}: cache field {key} must be {typ.__name__}, "
+                f"not {type(row[key]).__name__}")
+    return row
 
 
 def _cache_line(rec):
@@ -220,8 +248,10 @@ def run_census(cfg):
             survivors[canonical_graph6(g)] = (cf, g, path, lineno)
 
     if cfg.max_n:
+        # top level first: building it builds and keeps every level below,
+        # which the later draws then only filter
         aug = CanonicalAugmenter()
-        for n in range(1, cfg.max_n + 1):
+        for n in range(cfg.max_n, 0, -1):
             feed(f"<generated n={n}>", enumerate(generate_all_graphs(
                 n, min_degree=3, connected=True, augmenter=aug), start=1))
         max_n_seen = max(max_n_seen, cfg.max_n)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: catalog, props, classify, decompose, census, selftest.
-Exit codes: 0 success / verdict pass, 1 verdict fail, 2 usage error or a
-file that cannot be read or written, 3 capacity error, 4 internal error (any
-other exception).
+Exit codes: 0 success / verdict pass, 1 verdict fail, 2 usage error, a file
+that cannot be read or written, or a malformed cache line, 3 capacity error,
+4 internal error (any other exception).
 """
 
 import argparse

@@ -13,9 +13,12 @@ cheap tests (the edges min_degree forces, min_degree, the max-degree pretest
 below) before any orbit work.  The parent's automorphisms preserve |s| and
 vertex degrees, so an orbit passes these tests whole or not at all: the first
 s of an orbit to pass is its smallest member, and only that s has its orbit
-walked and marked seen.  Cached intermediate levels run with no filters, so
-they stay complete (min degree is not monotone under vertex deletion);
-final_level passes its filters, connectivity included.
+walked and marked seen.
+
+final_level, the one way into a level, keeps every level below n whole (min
+degree is not hereditary under vertex deletion), pushes min_degree down only
+into a level n it has not kept, and then filters min degree and connectivity.
+A pushed-down level equals its kept copy filtered, in the same order.
 
 Only children whose new vertex has maximum degree reach canon_auto.  The
 labeling starts from degree colors, and refinement and individualization
@@ -40,18 +43,14 @@ class CanonicalAugmenter:
     """Level-cached generator of all isomorphism classes up to MAX_GENERATED_N."""
 
     def __init__(self):
-        # level k: list of (adjacency tuple, automorphism generators,
+        # whole level k: list of (adjacency tuple, automorphism generators,
         # canonical perm)
         self._levels = {1: [((0,), (), (0,))]}
 
-    def _grow_to(self, n):
-        for k in range(max(self._levels) + 1, n + 1):
-            self._levels[k] = self._augment(k)
-
-    def _augment(self, n, min_degree=0, connected=False):
-        """Accepted children on n vertices of every level n-1 parent, as
-        (adjacency, automorphism generators, canonical perm), that pass the
-        filters."""
+    def _augment(self, n, min_degree=0):
+        """Accepted children on n vertices of every level n-1 parent with
+        minimum degree at least min_degree, as (adjacency, automorphism
+        generators, canonical perm)."""
         out = []
         for parent_adj, autos, _ in self._levels[n - 1]:
             # every parent vertex short of min_degree must gain the new edge
@@ -82,8 +81,6 @@ class CanonicalAugmenter:
                             seen[img] = 1
                             stack.append(img)
                 adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
-                if connected and not _spans(adj, (1 << n) - 1):
-                    continue
                 _, perm, orbits, gens = _kernel.canon_auto(n, adj)
                 # canonical deletion: the vertex at the last canonical position;
                 # the child survives only when the freshly added vertex is in
@@ -95,23 +92,24 @@ class CanonicalAugmenter:
     def classes(self, n):
         """All isomorphism classes on n vertices, as (adjacency tuple,
         canonical perm) pairs."""
-        _check_n(n)
-        self._grow_to(n)
-        return [(adj, perm) for adj, _, perm in self._levels[n]]
+        return self.final_level(n)
 
     def final_level(self, n, min_degree=0, connected=False):
-        """Classes on n vertices passing the pushed-down filters, as
-        (adjacency tuple, canonical perm) pairs.
-
-        The filters prune candidate children before their canonical form is
-        computed; parents are still generated unfiltered, which keeps the
-        augmentation complete.
-        """
+        """Classes on n vertices with minimum degree at least min_degree,
+        connected ones only when asked, as (adjacency tuple, canonical perm)
+        pairs.  A level n not kept yet is built with min_degree pushed down,
+        and kept when min_degree is 0."""
         _check_n(n)
-        if n == 1:
-            return [] if min_degree > 0 else [((0,), (0,))]
-        self._grow_to(n - 1)
-        return [(adj, perm) for adj, _, perm in self._augment(n, min_degree, connected)]
+        for k in range(max(self._levels) + 1, n):
+            self._levels[k] = self._augment(k)
+        level = self._levels.get(n)
+        if level is None:
+            level = self._augment(n, min_degree)
+            if not min_degree:
+                self._levels[n] = level
+        return [(adj, perm) for adj, _, perm in level
+                if min(a.bit_count() for a in adj) >= min_degree
+                and (not connected or _spans(adj, (1 << n) - 1))]
 
 
 def _check_n(n):
@@ -135,14 +133,8 @@ def _adj_to_graph(adj, perm):
 
 
 def generate_all_graphs(n, min_degree=0, connected=False, augmenter=None):
-    """Stream one Graph per isomorphism class on n vertices.
-
-    min_degree/connected are pushed down into the final augmentation level.
-    """
+    """Stream one Graph per isomorphism class on n vertices, with minimum
+    degree at least min_degree and, when asked, connected."""
     aug = augmenter or CanonicalAugmenter()
-    if min_degree or connected:
-        adjs = aug.final_level(n, min_degree=min_degree, connected=connected)
-    else:
-        adjs = aug.classes(n)
-    for adj, perm in adjs:
+    for adj, perm in aug.final_level(n, min_degree, connected):
         yield _adj_to_graph(adj, perm)

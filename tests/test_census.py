@@ -229,29 +229,9 @@ def test_report_bytes_are_pinned():
     }
 
 
-def test_each_brick_is_labeled_once(tmp_path, monkeypatch):
-    """Classifying a brick adds no canonical label to the funnel's one."""
-    calls = []
-    labeler = matchcov._kernel.canon_auto
-
-    def counting(n, adj):
-        calls.append(n)
-        return labeler(n, adj)
-
-    monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
-    cfg = CensusConfig(max_n=6, claw_free_only=True, checks=("main",),
-                       cache_path=str(tmp_path / "cache.jsonl"))
-    _, cold = run_census(cfg)
-    cold_calls = len(calls)
-    calls.clear()
-    _, warm = run_census(cfg)
-    assert warm == cold
-    assert len(calls) == cold_calls
-
-
-def test_generated_survivors_are_labeled_only_in_generation(monkeypatch):
-    """A generated census labels nothing but generation's children and the
-    catalog graphs its verdicts exclude or expect."""
+@pytest.fixture
+def labeled(monkeypatch):
+    """(n, adjacency) of each canon_auto call, in call order."""
     calls = []
     labeler = matchcov._kernel.canon_auto
 
@@ -260,17 +240,50 @@ def test_generated_survivors_are_labeled_only_in_generation(monkeypatch):
         return labeler(n, adj)
 
     monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
+    return calls
+
+
+def test_each_brick_is_labeled_once(tmp_path, labeled):
+    """Classifying a brick adds no canonical label to the funnel's one."""
+    cfg = CensusConfig(max_n=6, claw_free_only=True, checks=("main",),
+                       cache_path=str(tmp_path / "cache.jsonl"))
+    _, cold = run_census(cfg)
+    cold_calls = len(labeled)
+    labeled.clear()
+    _, warm = run_census(cfg)
+    assert warm == cold
+    assert len(labeled) == cold_calls
+
+
+def test_generated_survivors_are_labeled_only_in_generation(labeled):
+    """A generated census labels nothing but generation's children and the
+    catalog graphs its verdicts exclude or expect."""
     aug = CanonicalAugmenter()
-    for n in range(1, 7):
+    for n in range(6, 0, -1):      # the census's draw order
         list(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug))
-    generated = Counter(calls)
-    calls.clear()
+    generated = Counter(labeled)
+    labeled.clear()
     run_census(CensusConfig(max_n=6, checks=("main", "thm11")))
-    extra = Counter(calls) - generated
-    assert not generated - Counter(calls)
+    extra = Counter(labeled) - generated
+    assert not generated - Counter(labeled)
     keys = ("K4", "C6BAR", "R8", "PETERSEN") + FAMILY_G
     assert set(extra) <= {(catalog(name).n, catalog(name).adj) for name in keys}
     assert sum(extra.values()) <= len(keys) + 2    # K4 and C6BAR serve both checks
+
+
+def test_generated_census_augments_each_level_once(labeled):
+    """The census's generation labels exactly what building levels 1..6
+    whole and level 7 with min degree 3 labels: no level is built twice."""
+    aug = CanonicalAugmenter()
+    aug.classes(6)
+    aug.final_level(7, 3, True)
+    generated = Counter(labeled)
+    labeled.clear()
+    run_census(CensusConfig(max_n=7, checks=("thm11",)))
+    # thm11's exceptions, and the trivial bricks every census excludes
+    keys = ("K4", "C6BAR", "R8", "PETERSEN", "K4", "C6BAR")
+    assert Counter(labeled) == generated + Counter(
+        (catalog(name).n, catalog(name).adj) for name in keys)
 
 
 def test_generated_graphs_carry_their_census_key():

@@ -3,6 +3,7 @@
 import json
 
 import networkx as nx
+import pytest
 
 from matchcov import census, cli, matching
 from matchcov.census import CensusConfig, run_census
@@ -191,15 +192,55 @@ def test_census_checks_the_report_path_before_it_runs(tmp_path, capsys):
     assert code == 2 and str(tmp_path) in err
 
 
-def test_census_crash_is_an_internal_error(tmp_path, capsys):
+def test_census_crash_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def crash(g):
+        raise RuntimeError("classifier crashed")
+
+    monkeypatch.setattr(census, "classify_all", crash)
     cache = tmp_path / "cache.jsonl"
-    cache.write_text('{"b_invariant": 0, "bri\n' + K4_CACHE_ROW)
+    cache.write_text(K4_CACHE_ROW)
     before = cache.read_bytes()
     code, out, err = run(capsys, "census", "--max-n", "6", "--check", "thm11",
                          "--cache", str(cache))
     assert code == 4  # not 1, which means a failed theorem check
-    assert "internal error: JSONDecodeError" in err
+    assert "internal error: RuntimeError: classifier crashed" in err
     assert "Traceback" in err
+    assert cache.read_bytes() == before
+
+
+# claw-free bricks on 6 vertices: the fifth graph, and one whose b-invariant
+# edges are not all solitary
+EL_O_CACHE_ROW = ('{"b_invariant": 4, "brick": true, "claw_free": true, '
+                  '"every_b_invariant_solitary": true, "g6": "EL~o", "m": 11, '
+                  '"n": 6, "solitary": 4}\n')
+EJMW_CACHE_ROW = ('{"b_invariant": 8, "brick": true, "claw_free": true, '
+                  '"every_b_invariant_solitary": false, "g6": "Ejmw", "m": 11, '
+                  '"n": 6, "solitary": 2}\n')
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    # 0 read as false would flip main to PASS
+    ((K4_CACHE_ROW, EL_O_CACHE_ROW.replace("solitary\": true", "solitary\": 0"),
+      EJMW_CACHE_ROW), 2, "cache field every_b_invariant_solitary must be bool, not int"),
+    # "false" read as true would add Ejmw to the found set
+    ((K4_CACHE_ROW, EL_O_CACHE_ROW,
+      EJMW_CACHE_ROW.replace("solitary\": false", "solitary\": \"false\"")),
+     3, "cache field every_b_invariant_solitary must be bool, not str"),
+    ((K4_CACHE_ROW, EL_O_CACHE_ROW.replace('"n": 6', '"n": true')),
+     2, "cache field n must be int, not bool"),
+    ((K4_CACHE_ROW, EL_O_CACHE_ROW.replace("{", '{"tags": [], ')),
+     2, "a cache row has exactly the fields g6, n, m,"),
+    ((K4_CACHE_ROW, "not json\n", EL_O_CACHE_ROW), 2, "cache line is not JSON"),
+])
+def test_census_rejects_a_malformed_cache_line(tmp_path, capsys, lines, lineno, message):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("".join(lines))
+    before = cache.read_bytes()
+    code, out, err = run(capsys, "census", "--max-n", "6", "--claw-free",
+                         "--check", "main", "--cache", str(cache))
+    assert code == 2
+    assert err.startswith(f"error: {cache}:{lineno}: {message}") and err.count("\n") == 1
+    assert "verdict" not in out
     assert cache.read_bytes() == before
 
 

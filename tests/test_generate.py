@@ -67,6 +67,18 @@ def test_min_degree_connected_filter():
             canonical_form(g) for g in full if g.min_degree() >= 3 and is_connected(g))
 
 
+def test_a_kept_level_filters_to_its_pushed_down_build():
+    """Filtering a kept whole level gives exactly the level that pushing
+    min_degree down builds: the same pairs in the same order."""
+    whole = CanonicalAugmenter()
+    whole.classes(7)
+    for min_degree, connected in ((3, True), (0, True), (3, False), (2, False), (1, True)):
+        pushed = CanonicalAugmenter()  # drawn bottom up, so no level n is kept before it
+        for n in range(1, 8):
+            assert pushed.final_level(n, min_degree, connected) == whole.final_level(
+                n, min_degree, connected)
+
+
 def _keeps(n, edges):
     deg = [0] * n
     adj = [set() for _ in range(n)]
@@ -109,12 +121,16 @@ def test_generated_labels_and_order_are_pinned():
     """
     assert _edges_digest(generate_all_graphs(7)) == (
         "108e04c332091f2aa3383100a79f70359ab502aa88a5616cfced71f8b3a564f0")
-    # levels 1..8 as the census draws them, from one shared augmenter
+    # the census's levels 1..8 from one shared augmenter, hashed in level
+    # order: drawn bottom up, and top down as the census draws them
+    census_digest = "4c31e3f25616a7e0518bb533098d2bcddeb8bdab6e3d778ff01963f173075a50"
     aug = CanonicalAugmenter()
-    census_levels = (g for n in range(1, 9) for g in generate_all_graphs(
-        n, min_degree=3, connected=True, augmenter=aug))
-    assert _edges_digest(census_levels) == (
-        "4c31e3f25616a7e0518bb533098d2bcddeb8bdab6e3d778ff01963f173075a50")
+    assert _edges_digest(g for n in range(1, 9) for g in generate_all_graphs(
+        n, min_degree=3, connected=True, augmenter=aug)) == census_digest
+    aug = CanonicalAugmenter()
+    top_down = {n: list(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug))
+                for n in range(8, 0, -1)}
+    assert _edges_digest(g for n in range(1, 9) for g in top_down[n]) == census_digest
 
 
 def test_shared_augmenter_reuses_levels():
