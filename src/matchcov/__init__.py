@@ -18,7 +18,7 @@ from .graph import (Graph, bridges, build, canonical_form, canonical_graph6,
                     contract, is_bipartite, is_claw_free, is_connected,
                     is_isomorphic, is_three_connected, parse_graph6, to_graph6,
                     underlying_simple)
-from .matching import (MatchingSet, count_perfect_matchings, count_pm_containing,
+from .matching import (count_perfect_matchings, count_pm_containing,
                        enumerate_perfect_matchings, has_perfect_matching,
                        is_bicritical, is_brick, is_matching_covered,
                        unique_pm_bridge)

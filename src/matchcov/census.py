@@ -53,7 +53,9 @@ class CensusConfig:
         bad = [c for c in self.checks if c not in ("main", "thm11")]
         if bad:
             raise MatchcovError(f"unknown checks: {bad}")
-        if self.max_n and not 1 <= self.max_n <= MAX_GENERATED_N:
+        if self.max_n < 0:
+            raise MatchcovError(f"max_n must be nonnegative, got {self.max_n}")
+        if self.max_n > MAX_GENERATED_N:
             raise CapacityError(f"built-in generation supports max_n <= {MAX_GENERATED_N}")
         if not self.max_n and not self.inputs:
             raise MatchcovError("census needs a built-in max_n or graph6 input files")
@@ -146,9 +148,10 @@ def _load_cache(path, skipped):
 
     Every line must hold one row, as _cache_row checks, and any other line
     raises before the file is touched.  A last line without a newline is
-    what an interrupted append leaves.  It is cut off the file, so the next
-    append starts a line of its own, and when it does not parse it is
-    reported in skipped as (path, line_number, message).
+    what an interrupted append leaves.  When it does not parse, it is cut off
+    the file and reported in skipped as (path, line_number, message); when it
+    holds a row, the row is kept and its newline written.  Either way the
+    next append starts a line of its own.
     """
     if not (path and os.path.exists(path)):
         return {}
@@ -164,9 +167,11 @@ def _load_cache(path, skipped):
             json.loads(tail)
         except ValueError:
             skipped.append((path, lineno, "truncated cache line"))
+            os.truncate(path, len(data) - len(tail))
         else:
             rows.append(_cache_row(path, lineno, tail))
-        os.truncate(path, len(data) - len(tail))
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
     return {row["g6"]: row for row in rows}
 
 
@@ -247,6 +252,8 @@ def run_census(cfg):
                 continue
             survivors[canonical_graph6(g)] = (cf, g, path, lineno)
 
+    # read every input before generation, so a bad one fails fast
+    ingested = [(path, *ingest_graph6(path)) for path in cfg.inputs]
     if cfg.max_n:
         # top level first: building it builds and keeps every level below,
         # which the later draws then only filter
@@ -255,8 +262,7 @@ def run_census(cfg):
             feed(f"<generated n={n}>", enumerate(generate_all_graphs(
                 n, min_degree=3, connected=True, augmenter=aug), start=1))
         max_n_seen = max(max_n_seen, cfg.max_n)
-    for path in cfg.inputs:
-        graphs, skips = ingest_graph6(path)
+    for path, graphs, skips in ingested:
         skipped.extend((path, lineno, msg) for lineno, msg in skips)
         feed(path, graphs)
 

@@ -4,20 +4,19 @@ b-invariance is only defined for removable edges, so EdgeClass.b_invariant is
 None (not False) on nonremovable edges; every_b_invariant_solitary treats None
 as not-b-invariant.
 
-Every verdict comes from _edge_class, which works from the host's complete
-perfect-matching list: the matchings of G-e are the host's matchings that
-avoid e, and the matchings that contain e give the solitary count.  The list
-and b(G) are computed once per host, so each edge costs one decompose of G-e
-(removable edges only; decompose labels no piece) and no further matching
-search.
+Every verdict comes from _edge_class, which works from the host's perfect
+matchings (Graph.perfect_matchings): the matchings of G-e are the host's
+matchings that avoid e, which _edge_class hands to G-e as its own list, and
+the matchings that contain e give the solitary count.  The list and b(G) are
+computed once per host, so each edge costs one decompose of G-e (removable
+edges only; decompose labels no piece) and no further matching search of G-e.
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graph import delete_edge
-from .matching import (MatchingSet, _covered_by, count_pm_containing,
-                       enumerate_perfect_matchings, is_matching_covered)
+from .matching import count_pm_containing, is_matching_covered
 from .tightcut import decompose
 
 
@@ -63,30 +62,29 @@ def classify_edge(g, e):
     """EdgeClass of edge e; G must be matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    pms = enumerate_perfect_matchings(g)
-    return _edge_class(g, e, pms, decompose(g, pms).b)
+    return _edge_class(g, e, decompose(g).b)
 
 
-def _edge_class(g, e, pms, b_of_g):
-    """Classify edge e of g from g's complete MatchingSet pms and b(G)."""
+def _edge_class(g, e, b_of_g):
+    """Classify edge e of g from g's perfect matchings and b(G)."""
     bit = 1 << e
     low = bit - 1
-    # drop bit e and shift the higher bits down: edge indices of delete_edge(g, e)
-    avoiding = tuple(p & low | p >> 1 & ~low for p in pms.matchings if not p & bit)
-    capped = min(len(pms) - len(avoiding), 2)
+    pms = g.perfect_matchings
     rest = delete_edge(g, e)
-    removable = _covered_by(rest, avoiding)
-    b_inv = None
-    if removable:
-        b_inv = decompose(rest, MatchingSet(avoiding, True)).b == b_of_g
+    # G-e's matchings are g's that avoid e, with bit e dropped and the higher
+    # bits shifted down to delete_edge's edge indices
+    avoiding = tuple(p & low | p >> 1 & ~low for p in pms if not p & bit)
+    rest.__dict__["perfect_matchings"] = avoiding   # fill the cached property
+    capped = min(len(pms) - len(avoiding), 2)
+    removable = is_matching_covered(rest)
+    b_inv = decompose(rest).b == b_of_g if removable else None
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
 
 
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
-    pms = enumerate_perfect_matchings(g)
-    b_of_g = decompose(g, pms).b
-    classes = tuple(_edge_class(g, e, pms, b_of_g) for e in range(g.m))
+    b_of_g = decompose(g).b
+    classes = tuple(_edge_class(g, e, b_of_g) for e in range(g.m))
     return EdgeClassReport(
         classes=classes,
         removable=sum(1 for c in classes if c.removable),

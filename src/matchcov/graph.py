@@ -4,7 +4,8 @@ Vertices are 0..n-1.  Parallel edges are allowed (contractions create them),
 loops are not.  The edge list order is a stable identity: edge index i always
 refers to the same endpoint pair.  All predicates that speak about adjacency
 (bipartiteness, claw-freeness, connectivity, isomorphism) act on the simple
-view; matching operations elsewhere treat parallel edges as distinct.
+view; matching operations (Graph.perfect_matchings, and matching.py) treat
+parallel edges as distinct.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,14 @@ from functools import cached_property
 
 from . import _kernel
 from .errors import CapacityError, Graph6Error, GraphBuildError
+
+MAX_EXACT_N = 32
+
+
+def _check_size(g):
+    """Exact matching operations refuse, rather than approximate, larger graphs."""
+    if g.n > MAX_EXACT_N:
+        raise CapacityError(f"exact matching operations support n <= {MAX_EXACT_N}, got {g.n}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,18 @@ class Graph:
         labeled exactly this adjacency already.
         """
         return _kernel.canon_auto(self.n, self.adj)[1]
+
+    @cached_property
+    def perfect_matchings(self):
+        """Every perfect matching, as an edge bitmask, in the fixed order:
+        match the lowest free vertex, edges by index.
+
+        The tuple is always complete.  Edge classification fills it in for
+        G-e from the host's list, because it holds G-e's matchings already.
+        """
+        _check_size(self)
+        eu, ev = self.edge_arrays
+        return tuple(_kernel.enumerate_pms(self.n, eu, ev, 0))
 
     @cached_property
     def edge_arrays(self):

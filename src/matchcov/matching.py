@@ -4,37 +4,16 @@ Everything here is exact; graphs beyond 32 vertices are refused rather than
 approximated.  Matchings are bitmasks over edge indices, and parallel edges
 count as distinct edges throughout (contracted graphs rely on this).
 
-Counting and listing go through the kernel.  Bicriticality asks only whether
-each G-u-v has a perfect matching, so it answers every pair from one memo
-over alive vertex sets of the simple view (see is_bicritical).
+Each Graph lists its perfect matchings once, as Graph.perfect_matchings,
+always complete; counting goes through the kernel.  Bicriticality asks only
+whether each G-u-v has a perfect matching, so it answers every pair from one
+memo over alive vertex sets of the simple view (see is_bicritical).
 """
 
-from dataclasses import dataclass
-
 from . import _kernel
-from .errors import CapacityError, PreconditionError
-from .graph import bridges, delete_vertices, is_connected, is_three_connected
-
-MAX_EXACT_N = 32
-
-
-def _check_size(g):
-    if g.n > MAX_EXACT_N:
-        raise CapacityError(f"exact matching operations support n <= {MAX_EXACT_N}, got {g.n}")
-
-
-@dataclass(frozen=True)
-class MatchingSet:
-    """Perfect matchings of a graph in the fixed enumeration order.
-
-    `complete` is False when enumeration stopped at a cap, in which case the
-    list is a prefix of the full enumeration.
-    """
-    matchings: tuple  # edge bitmasks
-    complete: bool
-
-    def __len__(self):
-        return len(self.matchings)
+from .errors import PreconditionError
+from .graph import (MAX_EXACT_N, _check_size, bridges, delete_vertices,
+                    is_connected, is_three_connected)
 
 
 def has_perfect_matching(g):
@@ -43,14 +22,10 @@ def has_perfect_matching(g):
     return _kernel.count_pms(g.n, eu, ev, cap=1) > 0
 
 
-def enumerate_perfect_matchings(g, cap=None):
-    """Deterministic order: match the lowest free vertex, edges by index."""
-    _check_size(g)
-    eu, ev = g.edge_arrays
-    want = 0 if cap is None else cap
-    pms = _kernel.enumerate_pms(g.n, eu, ev, want)
-    complete = cap is None or len(pms) < cap
-    return MatchingSet(tuple(pms), complete)
+def enumerate_perfect_matchings(g):
+    """g.perfect_matchings: every perfect matching of g as an edge bitmask,
+    matching the lowest free vertex, edges by index."""
+    return g.perfect_matchings
 
 
 def count_perfect_matchings(g, cap=None):
@@ -78,14 +53,8 @@ def is_matching_covered(g):
     _check_size(g)
     if g.n % 2:
         return False
-    eu, ev = g.edge_arrays
-    return _covered_by(g, _kernel.enumerate_pms(g.n, eu, ev, 0))
-
-
-def _covered_by(g, matchings):
-    """is_matching_covered(g), given the complete list of g's perfect matchings."""
     covered = 0
-    for p in matchings:
+    for p in g.perfect_matchings:
         covered |= p
     return g.m > 0 and covered == (1 << g.m) - 1 and is_connected(g)
 
@@ -136,12 +105,12 @@ def unique_pm_bridge(g):
     _check_size(g)
     if not is_connected(g):
         raise PreconditionError("unique_pm_bridge requires a connected graph")
-    ms = enumerate_perfect_matchings(g, cap=2)
-    if len(ms) != 1:
+    count = count_perfect_matchings(g, cap=2)
+    if count != 1:
         raise PreconditionError(
             f"unique_pm_bridge requires exactly one perfect matching, found "
-            f"{'>=2' if len(ms) == 2 else len(ms)}")
-    pm = ms.matchings[0]
+            f"{'>=2' if count == 2 else count}")
+    pm = g.perfect_matchings[0]
     for e in sorted(bridges(g)):
         if pm >> e & 1:
             return e

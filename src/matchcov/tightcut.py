@@ -1,11 +1,12 @@
 """Tight cuts, the tight-cut decomposition, and b(G).
 
 The nontrivial tight-cut search is exhaustive over odd vertex subsets, using
-the complete perfect-matching list as bit vectors.  The deterministic scan
-order (|X| ascending, then numeric value of the bit set) makes decomposition
-traces reproducible; it is built once per vertex count and cached.  A test
-that checks the Lovasz invariance of the brick/brace multiset shuffles the
-scan by replacing _scan_order, which the search reads on every call.
+the graph's perfect matchings (Graph.perfect_matchings) as bit vectors.  The
+deterministic scan order (|X| ascending, then numeric value of the bit set)
+makes decomposition traces reproducible; it is built once per vertex count
+and cached.  A test that checks the Lovasz invariance of the brick/brace
+multiset shuffles the scan by replacing _scan_order, which the search reads
+on every call.
 
 decompose runs the one contraction recursion and labels no piece: b, which
 is all edge classification needs, counts the nonbipartite pieces, and
@@ -22,7 +23,7 @@ from itertools import combinations
 from . import _kernel
 from .errors import CapacityError, PreconditionError
 from .graph import canonical_form, contract, is_bipartite
-from .matching import _covered_by, enumerate_perfect_matchings
+from .matching import is_matching_covered
 
 MAX_TIGHT_SCAN_N = 20
 
@@ -63,12 +64,10 @@ def make_cut(g, x):
     return Cut(x_mask, boundary, trivial=(size == 1 or size == g.n - 1))
 
 
-def is_tight(g, x, pms):
+def is_tight(g, x):
     """Every perfect matching meets the cut in exactly one edge."""
-    if not pms.complete:
-        raise PreconditionError("is_tight requires a complete MatchingSet")
     cut = x if isinstance(x, Cut) else make_cut(g, x)
-    return all((m & cut.boundary).bit_count() == 1 for m in pms.matchings)
+    return all((m & cut.boundary).bit_count() == 1 for m in g.perfect_matchings)
 
 
 @cache
@@ -85,46 +84,34 @@ def _scan_order(n):
     return tuple(subsets)
 
 
-def find_nontrivial_tight_cut(g, pms=None):
+def find_nontrivial_tight_cut(g):
     """First nontrivial tight cut in scan order, or None."""
     if g.n > MAX_TIGHT_SCAN_N:
         raise CapacityError(f"tight-cut scan supports n <= {MAX_TIGHT_SCAN_N}, got {g.n}")
-    if pms is None:
-        pms = enumerate_perfect_matchings(g)
-        if not _covered_by(g, pms.matchings):
-            raise PreconditionError("tight-cut search requires a matching covered graph")
-    elif not pms.complete:
-        raise PreconditionError("tight-cut search requires a complete MatchingSet")
+    if not is_matching_covered(g):
+        raise PreconditionError("tight-cut search requires a matching covered graph")
     eu, ev = g.edge_arrays
-    x = _kernel.first_tight_cut(eu, ev, pms.matchings, _scan_order(g.n))
+    x = _kernel.first_tight_cut(eu, ev, g.perfect_matchings, _scan_order(g.n))
     if x < 0:
         return None
     return make_cut(g, x)
 
 
-def decompose(g, pms=None):
+def decompose(g):
     """Tight cut decomposition into bricks and braces; labels no piece.
 
     Pieces follow the recursion (X side first), and the trace holds one cut
-    per contraction step.  pms, when given, is the complete MatchingSet of g;
-    it replaces the enumeration of g itself, not of the pieces.
+    per contraction step.  A piece the search reached keeps the perfect
+    matchings it listed.
     """
-    if pms is None:
-        pms = enumerate_perfect_matchings(g)
-    elif not pms.complete:
-        raise PreconditionError("decomposition requires a complete MatchingSet")
-    if not _covered_by(g, pms.matchings):
+    if not is_matching_covered(g):
         raise PreconditionError(
             "decomposition and edge classification require a matching covered graph")
     pieces = []
     trace = []
 
-    def rec(h, pms=None):
-        cut = None
-        if h.n >= 6:
-            if pms is None:
-                pms = enumerate_perfect_matchings(h)
-            cut = find_nontrivial_tight_cut(h, pms=pms)
+    def rec(h):
+        cut = find_nontrivial_tight_cut(h) if h.n >= 6 else None
         if cut is None:
             pieces.append((h, not is_bipartite(h)))
             return
@@ -133,6 +120,6 @@ def decompose(g, pms=None):
         rec(contract(h, cut.vertices())[0])   # shrink X
         rec(contract(h, co)[0])               # shrink the complement
 
-    rec(g, pms)
+    rec(g)
     b = sum(1 for _, nb in pieces if nb)
     return DecompositionResult(tuple(pieces), b, len(pieces) - b, tuple(trace))

@@ -135,7 +135,7 @@ def test_criterion_5_unique_pm_bridge():
     for _ in range(1000):
         g = _random_unique_pm_graph(rng)
         e = unique_pm_bridge(g)
-        pm = enumerate_perfect_matchings(g).matchings[0]
+        pm = enumerate_perfect_matchings(g)[0]
         ok &= bool(pm >> e & 1)
         ok &= e in bridges(g)
         if not ok:

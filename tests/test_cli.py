@@ -95,6 +95,12 @@ def test_census_capacity_error(capsys):
     assert "capacity" in err.lower()
 
 
+def test_census_negative_max_n_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "census", "--max-n", "-2")
+    assert code == 2
+    assert err == "error: max_n must be nonnegative, got -2\n"
+
+
 def test_census_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.jsonl"
     code, out, _ = run(capsys, "census", "--max-n", "6", "--claw-free",
@@ -169,6 +175,17 @@ def test_census_unreadable_input_and_unwritable_report(tmp_path, capsys):
                        "--out", str(report))
     assert code == 2
     assert err.startswith("error: ") and str(report) in err and err.count("\n") == 1
+
+
+def test_census_reads_its_inputs_before_generation(tmp_path, capsys, monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("generation ran before a missing input was found")
+
+    monkeypatch.setattr(census, "generate_all_graphs", generate)
+    missing = tmp_path / "missing.g6"
+    code, _, err = run(capsys, "census", "--max-n", "8", "--in", str(missing))
+    assert code == 2
+    assert err.startswith("error: ") and str(missing) in err
 
 
 K4_CACHE_ROW = ('{"b_invariant": 0, "brick": true, "claw_free": true, '
@@ -256,6 +273,16 @@ def test_census_skips_a_truncated_last_cache_line(tmp_path, capsys):
     # the new rows start on a line of their own, and K4 was a hit
     rows = [json.loads(line) for line in cache.read_text().splitlines()]
     assert len(rows) > 1 and [row["g6"] for row in rows].count("C~") == 1
+
+
+def test_census_keeps_a_last_cache_row_without_its_newline(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(K4_CACHE_ROW.rstrip("\n"))
+    for _ in range(2):
+        code, out, _ = run(capsys, "census", "--max-n", "4", "--check", "thm11",
+                           "--cache", str(cache))
+        assert code == 0 and "skipped" not in out
+        assert cache.read_text() == K4_CACHE_ROW
 
 
 def test_selftest_reports_the_known_failure(capsys):

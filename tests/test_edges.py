@@ -5,13 +5,13 @@ import random
 import pytest
 
 import matchcov._kernel
-from matchcov.catalog import FAMILY_G, catalog
+from matchcov.catalog import FAMILY_G, catalog, names
 from matchcov.edges import (classify_all, classify_edge, every_b_invariant_solitary,
                             is_b_invariant, is_removable, is_solitary,
                             triangle_nonremovable_edges)
 from matchcov.errors import PreconditionError
-from matchcov.graph import build, contract, delete_edge
-from matchcov.matching import count_pm_containing, is_matching_covered
+from matchcov.graph import build, contract, delete_edge, to_graph6
+from matchcov.matching import count_pm_containing, is_brick, is_matching_covered
 
 import oracles
 
@@ -160,6 +160,28 @@ def test_classification_labels_only_the_host(monkeypatch):
         rep = classify_all(g)
         assert rep.removable > 0, name
         assert calls == [], name
+
+
+def test_classification_lists_matchings_only_for_the_host(monkeypatch):
+    """The perfect matchings of each G-e come from the host's list: the only
+    enumeration at the host's order is the host's own."""
+    calls = []
+    lister = matchcov._kernel.enumerate_pms
+
+    def counting(n, eu, ev, cap=0):
+        calls.append(n)
+        return lister(n, eu, ev, cap)
+
+    monkeypatch.setattr(matchcov._kernel, "enumerate_pms", counting)
+    w = catalog("W6_PLUSPLUS")
+    graphs = [g for g in map(catalog, names()) if is_brick(g)]
+    graphs.append(delete_edge(w, w.edge_index(3, 4)))
+    removable = 0
+    for g in graphs:
+        calls.clear()
+        removable += classify_all(g).removable
+        assert calls.count(g.n) == 1, to_graph6(g)
+    assert removable > 0
 
 
 def test_classify_requires_matching_covered():

@@ -7,6 +7,7 @@ build fails (no C compiler, say).
 """
 
 import importlib.util
+import os
 import random
 import subprocess
 import sys
@@ -135,3 +136,17 @@ def test_tight_cut_scan_parity(ckernel):
 
 def test_backend_names():
     assert pykernel.BACKEND_NAME == "py"
+
+
+def test_kernel_benchmark_script_runs():
+    """benchmarks/bench_kernels.py still runs against the package it times."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for label in ("canonical labeling", "matching enumeration", "claw detection",
+                  "tight-cut scan"):
+        assert label in proc.stdout

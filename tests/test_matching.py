@@ -13,6 +13,7 @@ from matchcov.matching import (MAX_EXACT_N, count_perfect_matchings,
                                count_pm_containing, enumerate_perfect_matchings,
                                has_perfect_matching, is_bicritical, is_brick,
                                is_matching_covered, unique_pm_bridge)
+from matchcov.tightcut import decompose
 
 import oracles
 
@@ -39,11 +40,10 @@ def test_enumeration_matches_dp_on_random_graphs():
                 edges.append(rng.choice(edges))
         g = build(n, edges)
         ms = enumerate_perfect_matchings(g)
-        assert ms.complete
         assert len(ms) == oracles.pm_count_dp(n, edges)
         assert has_perfect_matching(g) == (len(ms) > 0)
         full = 0
-        for mask in ms.matchings:
+        for mask in ms:
             # each mask covers every vertex exactly once
             seen = set()
             for e in range(g.m):
@@ -61,9 +61,8 @@ def test_parallel_edges_count_separately():
 
 def test_enumeration_cap_truncates():
     g = catalog("PETERSEN")
-    ms = enumerate_perfect_matchings(g, cap=2)
-    assert len(ms) == 2 and not ms.complete
     assert count_perfect_matchings(g, cap=4) == 4
+    assert len(enumerate_perfect_matchings(g)) == 6
 
 
 def test_count_pm_containing_matches_enumeration():
@@ -74,7 +73,7 @@ def test_count_pm_containing_matches_enumeration():
         g = build(n, edges)
         ms = enumerate_perfect_matchings(g)
         for e in range(g.m):
-            direct = sum(1 for mask in ms.matchings if mask >> e & 1)
+            direct = sum(1 for mask in ms if mask >> e & 1)
             assert count_pm_containing(g, e) == direct
 
 
@@ -172,5 +171,11 @@ def test_unique_pm_bridge_examples():
 def test_capacity_bound():
     n = MAX_EXACT_N + 2
     g = build(n, [(i, i + 1) for i in range(0, n, 2)])
+    odd = build(n + 1, g.edges)
+    for check in (count_perfect_matchings, enumerate_perfect_matchings,
+                  is_matching_covered, decompose):
+        with pytest.raises(CapacityError):
+            check(g)
+    # the size check comes before the parity check
     with pytest.raises(CapacityError):
-        count_perfect_matchings(g)
+        is_matching_covered(odd)

@@ -38,31 +38,14 @@ def test_make_cut_boundary_and_trivial_flags():
 
 def test_tight_cut_in_hexagon():
     g = hexagon()
-    pms = enumerate_perfect_matchings(g)
-    assert is_tight(g, {0, 1, 2}, pms)
-    assert not is_tight(g, {0, 2, 4}, pms)
-
-
-def test_is_tight_rejects_truncated_matching_lists():
-    g = catalog("K4")
-    pms = enumerate_perfect_matchings(g, cap=2)
-    with pytest.raises(PreconditionError):
-        is_tight(g, {0, 1}, pms)
-    # bricks: one matching alone would make {0, 1, 2} look tight in each;
-    # the error names the short list, not the graph
-    for name in ("C6BAR", "PETERSEN", "R8"):
-        g = catalog(name)
-        with pytest.raises(PreconditionError, match="complete MatchingSet"):
-            find_nontrivial_tight_cut(g, enumerate_perfect_matchings(g, cap=1))
-        with pytest.raises(PreconditionError, match="complete MatchingSet"):
-            decompose(g, enumerate_perfect_matchings(g, cap=1))
+    assert is_tight(g, {0, 1, 2})
+    assert not is_tight(g, {0, 2, 4})
 
 
 def test_hub_path_deletion_cut():
     g = catalog("W6_PLUSPLUS")
     gp = delete_edge(g, g.edge_index(3, 4))
-    pms = enumerate_perfect_matchings(gp)
-    assert is_tight(gp, {1, 4, 5}, pms)
+    assert is_tight(gp, {1, 4, 5})
 
 
 def test_bricks_have_no_nontrivial_tight_cut():
@@ -75,7 +58,7 @@ def test_find_returns_a_genuine_cut():
     gp = delete_edge(g, g.edge_index(3, 4))
     cut = find_nontrivial_tight_cut(gp)
     assert cut is not None and not cut.trivial
-    assert is_tight(gp, cut, enumerate_perfect_matchings(gp))
+    assert is_tight(gp, cut)
 
 
 def test_decompose_bricks_are_single_pieces():
@@ -170,7 +153,7 @@ def test_python_scan_matches_per_edge_reference():
     graphs = list(_covered_graphs(rng, 30, False)) + list(_covered_graphs(rng, 15, True))
     for g in graphs:
         eu, ev = g.edge_arrays
-        pms = enumerate_perfect_matchings(g).matchings
+        pms = enumerate_perfect_matchings(g)
         orders = [_scan_order(g.n)]
         for _ in range(3):
             shuffled = list(orders[0])
@@ -216,7 +199,7 @@ def test_decompose_labels_pieces_only_for_certificates(monkeypatch):
     for g in graphs:
         calls.clear()
         res = decompose(g)
-        assert decompose(g, enumerate_perfect_matchings(g)) == res
+        assert decompose(g) == res       # again, from the kept matchings
         assert calls == []
         res.certificates()
         assert sorted(calls) == sorted(h.n for h, _ in res.pieces)
