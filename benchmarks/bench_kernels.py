@@ -4,15 +4,23 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times the kernel entries the census runs, on identical workloads: canonical
 labeling over a random graph batch, perfect matching enumeration (what edge
-classification lists), claw detection, and the tight-cut subset scan in the
-census's scan order.  Both backends are imported directly, bypassing the
+classification lists), claw detection, and the tight-cut subset scan in
+decompose's scan order.  Both backends are imported directly, bypassing the
 MATCHCOV_KERNEL selection.
+
+The scan and the matching rank that edge classification uses in its place
+run over the same lists: the perfect matchings of every removable G-e of
+four random bricks on 10 or 12 vertices, listed before timing.  The rank has
+no compiled twin, so its line times the same Python code under each backend.
 """
 
 import argparse
 import random
 import time
 from matchcov._kernel import pykernel
+from matchcov.edges import _brick_count
+from matchcov.graph import build, delete_edge
+from matchcov.matching import is_brick, is_matching_covered
 from matchcov.tightcut import _scan_order
 
 try:
@@ -29,6 +37,22 @@ def _random_graphs(seed, count, n_lo, n_hi):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < rng.uniform(0.2, 0.8)]
         out.append((n, edges))
+    return out
+
+
+def _brick_edge_deletions(seed, count, n_lo, n_hi):
+    """Every removable G-e of `count` random bricks, its matchings listed."""
+    bricks = []
+    for n, edges in _random_graphs(seed, 10 * count, n_lo, n_hi):
+        g = build(n, edges)
+        if len(bricks) < count and g.n % 2 == 0 and is_brick(g):
+            bricks.append(g)
+    out = []
+    for g in bricks:
+        for e in range(g.m):
+            rest = delete_edge(g, e)
+            if is_matching_covered(rest):   # lists rest.perfect_matchings
+                out.append(rest)
     return out
 
 
@@ -58,13 +82,14 @@ def bench_claw(mod, graphs):
 
 
 def bench_tight(mod, graphs):
-    for n, edges in graphs:
-        eu = [u for u, _ in edges]
-        ev = [v for _, v in edges]
-        pms = pykernel.enumerate_pms(n, eu, ev, 0)
-        if not pms:
-            continue
-        mod.first_tight_cut(eu, ev, pms, _scan_order(n))
+    for g in graphs:
+        eu, ev = g.edge_arrays
+        mod.first_tight_cut(eu, ev, g.perfect_matchings, _scan_order(g.n))
+
+
+def bench_rank(mod, graphs):
+    for g in graphs:
+        _brick_count(g)
 
 
 def run(label, fn, mod, graphs, repeat):
@@ -84,11 +109,13 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
+    deletions = _brick_edge_deletions(4, 4, 10, 12)
     workloads = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
         ("claw detection", bench_claw, _random_graphs(3, 2000, 8, 14)),
-        ("tight-cut scan", bench_tight, _random_graphs(4, 60, 6, 10)),
+        ("tight-cut scan", bench_tight, deletions),
+        ("matching rank", bench_rank, deletions),
     ]
 
     results = {}

@@ -8,16 +8,20 @@ Every verdict comes from _edge_class, which works from the host's perfect
 matchings (Graph.perfect_matchings): the matchings of G-e are the host's
 matchings that avoid e, which _edge_class hands to G-e as its own list, and
 the matchings that contain e give the solitary count.  The list and b(G) are
-computed once per host, so each edge costs one decompose of G-e (removable
-edges only; decompose labels no piece) and no further matching search of G-e.
+computed once per host, so each edge costs one rank per G-e (removable edges
+only) and no further matching search of G-e.
+
+b comes from the matching rank, not from a tight-cut decomposition: for a
+matching covered G, b(G) = m - n + 2 - rank_Q(M), where the rows of M are the
+incidence vectors of G's perfect matchings (Edmonds, Lovasz and Pulleyblank,
+"Brick decompositions and the matching rank of graphs", Combinatorica 1982).
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import delete_edge
+from .graph import delete_edge, is_bipartite
 from .matching import count_pm_containing, is_matching_covered
-from .tightcut import decompose
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ def classify_edge(g, e):
     """EdgeClass of edge e; G must be matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    return _edge_class(g, e, decompose(g).b)
+    return _edge_class(g, e, _host_brick_count(g))
 
 
 def _edge_class(g, e, b_of_g):
@@ -77,13 +81,77 @@ def _edge_class(g, e, b_of_g):
     rest.__dict__["perfect_matchings"] = avoiding   # fill the cached property
     capped = min(len(pms) - len(avoiding), 2)
     removable = is_matching_covered(rest)
-    b_inv = decompose(rest).b == b_of_g if removable else None
+    b_inv = _brick_count(rest) == b_of_g if removable else None
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
+
+
+def _host_brick_count(g):
+    """b(G) of the host, which must be matching covered."""
+    if not is_matching_covered(g):
+        raise PreconditionError("edge classification requires a matching covered graph")
+    return _brick_count(g)
+
+
+def _brick_count(g):
+    """b(G) of a matching covered G from the rank of its perfect matchings.
+
+    A bipartite G has b = 0.  Otherwise b >= 1, so rank_Q <= m - n + 1, and
+    rank over GF(2) is at most rank_Q: an XOR basis (rows as bitmasks, keyed
+    by their highest bit) that reaches m - n + 1 certifies b = 1.  Anything
+    short of that takes the exact rational rank.
+    """
+    if is_bipartite(g):
+        return 0
+    full = g.m - g.n + 1
+    pms = g.perfect_matchings
+    basis = [0] * g.m
+    rank = 0
+    for row in pms:
+        while row:
+            top = row.bit_length() - 1
+            known = basis[top]
+            if not known:
+                basis[top] = row
+                rank += 1
+                if rank == full:
+                    return 1
+                break
+            row ^= known
+    return full + 1 - _rational_rank(pms, g.m, full)
+
+
+def _rational_rank(rows, width, stop):
+    """Rank over Q of 0/1 rows given as bitmasks of `width` bits, capped at stop.
+
+    Fraction-free (Bareiss) elimination: after each pivot every entry is a
+    minor of the 0/1 matrix, so the division by the previous pivot is exact
+    and the entries stay bounded.  Rows that reach zero are dropped.
+    """
+    rest = [[r >> j & 1 for j in range(width)] for r in rows]
+    rank, prev = 0, 1
+    for c in range(width):
+        i = next((i for i, r in enumerate(rest) if r[c]), None)
+        if i is None:
+            continue
+        pivot = rest.pop(i)
+        pc = pivot[c]
+        reduced = []
+        for r in rest:
+            rc = r[c]
+            r = [(pc * x - rc * y) // prev for x, y in zip(r, pivot)]
+            if any(r):
+                reduced.append(r)
+        rest = reduced
+        prev = pc
+        rank += 1
+        if rank == stop or not rest:
+            break
+    return rank
 
 
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
-    b_of_g = decompose(g).b
+    b_of_g = _host_brick_count(g)
     classes = tuple(_edge_class(g, e, b_of_g) for e in range(g.m))
     return EdgeClassReport(
         classes=classes,

@@ -8,9 +8,11 @@ and cached.  A test that checks the Lovasz invariance of the brick/brace
 multiset shuffles the scan by replacing _scan_order, which the search reads
 on every call.
 
-decompose runs the one contraction recursion and labels no piece: b, which
-is all edge classification needs, counts the nonbipartite pieces, and
-DecompositionResult.certificates() labels the pieces only when asked.
+decompose runs the one contraction recursion and labels no piece: b counts
+the nonbipartite pieces, and DecompositionResult.certificates() labels the
+pieces only when asked.  Edge classification reads b from the matching rank
+instead (see edges.py), so the scan serves the CLI decompose, the selftest
+and the tests.
 
 Cut boundaries are computed here, not in the kernel; the compiled kernel
 still defines boundary_mask, canon_full and canon_cert, which nothing calls.

@@ -8,6 +8,7 @@ import pytest
 from matchcov import census, cli, matching
 from matchcov.census import CensusConfig, run_census
 from matchcov.cli import main
+from matchcov.graph import build, canonical_graph6
 
 
 def run(capsys, *argv):
@@ -135,8 +136,9 @@ def test_census_reports_a_thm11_violation(tmp_path, capsys, monkeypatch):
 
 def test_census_lists_graphs_it_cannot_check(tmp_path, capsys):
     # a 6-connected graph on 34 vertices, beyond the 32-vertex matching limit,
-    # a 64-vertex one, beyond the short graph6 format as well, and the prism
-    # C11 x K2, a 22-vertex brick beyond the 20-vertex tight-cut scan
+    # and a 64-vertex one, beyond the short graph6 format as well; the prism
+    # C11 x K2, a 22-vertex brick, is classified: b(G-e) comes from the rank
+    # of G-e's perfect matchings, so no tight-cut scan limits classification
     big = nx.gnp_random_graph(34, 0.3, seed=1)
     huge = nx.circulant_graph(64, [1, 2, 5])
     prism = nx.circular_ladder_graph(11)
@@ -148,14 +150,19 @@ def test_census_lists_graphs_it_cannot_check(tmp_path, capsys):
                        "--cache", str(cache))
     assert code == 0  # an unchecked graph leaves the exit code alone
     errors = [line for line in out.splitlines() if line.startswith("error ")]
-    assert len(errors) == 3
+    assert len(errors) == 2
     # named by file and line, not by a canonical label
     for lineno, line in enumerate(errors, start=1):
         assert line.startswith(f"error {corpus}:{lineno}: ")
-    assert all("support n <= 32" in line for line in errors[:2])
-    assert "tight-cut scan supports n <= 20, got 22" in errors[2]
+    assert all("support n <= 32" in line for line in errors)
     assert "brick: 1" in out
-    assert cache.read_text() == ""   # no row for the brick it could not classify
+    # the cache gains exactly the prism's row: its 11 rungs are the removable
+    # edges, each b-invariant and in more than one perfect matching
+    rows = [json.loads(line) for line in cache.read_text().splitlines()]
+    key = canonical_graph6(build(22, prism.edges()))
+    assert rows == [{"g6": key, "n": 22, "m": 33, "claw_free": False,
+                     "brick": True, "b_invariant": 11, "solitary": 0,
+                     "every_b_invariant_solitary": False}]
 
 
 def test_census_rejects_a_worker_count_below_one(capsys):

@@ -2,18 +2,22 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 import matchcov._kernel
+from matchcov import edges, matching, tightcut
 from matchcov.catalog import FAMILY_G, catalog, names
-from matchcov.edges import (classify_all, classify_edge, every_b_invariant_solitary,
-                            is_b_invariant, is_removable, is_solitary,
-                            triangle_nonremovable_edges)
+from matchcov.edges import (_brick_count, _rational_rank, classify_all, classify_edge,
+                            every_b_invariant_solitary, is_b_invariant, is_removable,
+                            is_solitary, triangle_nonremovable_edges)
 from matchcov.errors import PreconditionError
-from matchcov.graph import build, contract, delete_edge, to_graph6
+from matchcov.graph import build, contract, delete_edge, is_bipartite, to_graph6
 from matchcov.matching import count_pm_containing, is_brick, is_matching_covered
+from matchcov.tightcut import decompose
 
 import oracles
+from test_tightcut import _covered_graphs
 
 
 def test_k4_has_no_removable_edge():
@@ -182,6 +186,135 @@ def test_classification_lists_matchings_only_for_the_host(monkeypatch):
         removable += classify_all(g).removable
         assert calls.count(g.n) == 1, to_graph6(g)
     assert removable > 0
+
+
+def test_classification_runs_no_tight_cut_search(monkeypatch):
+    """b(G-e) comes from the matching rank: classifying the catalog bricks
+    neither decomposes nor scans for a tight cut."""
+    def refuse(name):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return stub
+
+    monkeypatch.setattr(matchcov._kernel, "first_tight_cut", refuse("first_tight_cut"))
+    monkeypatch.setattr(tightcut, "decompose", refuse("decompose"))
+    bricks = [g for g in map(catalog, names()) if is_brick(g)]
+    assert sum(classify_all(g).removable for g in bricks) > 0
+
+
+def test_each_graph_is_checked_matching_covered_once(monkeypatch):
+    """One check of the host, and one of each G-e, which also decides its
+    removability; the rank trusts both."""
+    calls = []
+    real = matching.is_matching_covered
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(matching, "is_matching_covered", counting)
+    monkeypatch.setattr(edges, "is_matching_covered", counting)
+    w = catalog("W6_PLUSPLUS")
+    for g in (catalog("PETERSEN"), w, delete_edge(w, w.edge_index(3, 4))):
+        calls.clear()
+        classify_all(g)
+        assert len(calls) == 1 + g.m, to_graph6(g)
+        calls.clear()
+        classify_edge(g, 0)
+        assert len(calls) == 2, to_graph6(g)
+
+
+def _prism(k):
+    """C_k x K2: two k-cycles 0..k-1 and k..2k-1, rungs i-(i+k)."""
+    return build(2 * k, list(nx.circular_ladder_graph(k).edges()))
+
+
+def test_odd_prisms_match_a_decompose_reference():
+    """For n <= 18 the records agree with b read off the tight-cut
+    decomposition; the 22-vertex prism, beyond the scan, extends the pattern:
+    the rungs are the removable edges, each b-invariant, none solitary."""
+    for k in (3, 5, 7, 9):
+        g = _prism(k)
+        b_of_g = decompose(g).b
+        for c in classify_all(g).classes:
+            rest = delete_edge(g, c.edge)
+            removable = is_matching_covered(rest)
+            assert c.removable == removable, (k, c.edge)
+            assert c.b_invariant == (decompose(rest).b == b_of_g if removable else None)
+            assert c.pm_count_capped == min(count_pm_containing(g, c.edge), 2)
+    g = _prism(11)
+    rep = classify_all(g)
+    assert (rep.removable, rep.b_invariant, rep.solitary) == (11, 11, 0)
+    assert len(g.perfect_matchings) == 199
+    rungs = {g.edge_index(i, i + 11) for i in range(11)}
+    assert {c.edge for c in rep.classes if c.removable} == rungs
+    assert all(c.b_invariant for c in rep.classes if c.removable)
+
+
+def _assert_rank_gives_b(g):
+    """_brick_count(g) is the oracle's b, and the rational rank of g's
+    perfect matchings is m - n + 2 - b (Edmonds, Lovasz, Pulleyblank)."""
+    b = oracles.nx_b_count(oracles.to_nx(g))
+    assert _brick_count(g) == b, to_graph6(g)
+    assert _rational_rank(g.perfect_matchings, g.m, g.m) == g.m - g.n + 2 - b
+    return b
+
+
+def test_rank_matches_oracle_on_catalog_graphs():
+    counts = [_assert_rank_gives_b(g) for g in map(catalog, names()) if is_matching_covered(g)]
+    assert set(counts) == {0, 1}
+
+
+def test_rank_matches_oracle_on_catalog_edge_deletions():
+    """Every removable G-e of the catalog graphs to 8 vertices: the edges
+    that are not b-invariant leave b = 2."""
+    counts = set()
+    for g in map(catalog, names()):
+        if g.n > 8 or not is_matching_covered(g):
+            continue
+        for e in range(g.m):
+            rest = delete_edge(g, e)
+            if is_matching_covered(rest):
+                counts.add(_assert_rank_gives_b(rest))
+    assert counts == {0, 1, 2}
+
+
+def test_rank_matches_oracle_on_contracted_multigraphs():
+    for g in _covered_graphs(random.Random(439), 15, True):
+        _assert_rank_gives_b(g)
+
+
+def test_rank_matches_oracle_on_bipartite_graphs():
+    rng = random.Random(443)
+    found = 0
+    while found < 12:
+        k = rng.choice((2, 3, 4, 5))
+        g = build(2 * k, [(u, k + v) for u in range(k) for v in range(k)
+                          if rng.random() < 0.6])
+        if not is_matching_covered(g):
+            continue
+        found += 1
+        assert is_bipartite(g)
+        assert _assert_rank_gives_b(g) == 0
+
+
+def test_petersen_needs_the_rational_rank(monkeypatch):
+    """Each Petersen edge lies in exactly two of its six perfect matchings, so
+    their sum is 0 over GF(2) and the XOR basis stops at 5; the rational rank
+    is 6 = m - n + 1, which gives b = 1."""
+    g = catalog("PETERSEN")
+    pms = g.perfect_matchings
+    assert len(pms) == 6
+    assert all(sum(p >> e & 1 for p in pms) == 2 for e in range(g.m))
+    ranks = []
+
+    def recording(rows, width, stop):
+        ranks.append(_rational_rank(rows, width, stop))
+        return ranks[-1]
+
+    monkeypatch.setattr(edges, "_rational_rank", recording)
+    assert _brick_count(g) == 1
+    assert ranks == [6]
 
 
 def test_classify_requires_matching_covered():

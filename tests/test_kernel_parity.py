@@ -148,5 +148,5 @@ def test_kernel_benchmark_script_runs():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     for label in ("canonical labeling", "matching enumeration", "claw detection",
-                  "tight-cut scan"):
+                  "tight-cut scan", "matching rank"):
         assert label in proc.stdout
