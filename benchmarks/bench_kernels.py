@@ -4,14 +4,13 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times the kernel entries the census runs, on identical workloads: canonical
 labeling over a random graph batch, perfect matching enumeration (what edge
-classification lists), claw detection, and the tight-cut subset scan in
-decompose's scan order.  Both backends are imported directly, bypassing the
-MATCHCOV_KERNEL selection.
+classification lists) and claw detection.  Both backends are imported
+directly, bypassing the MATCHCOV_KERNEL selection.
 
-The scan and the matching rank that edge classification uses in its place
-run over the same lists: the perfect matchings of every removable G-e of
-four random bricks on 10 or 12 vertices, listed before timing.  The rank has
-no compiled twin, so its line times the same Python code under each backend.
+The matching rank that edge classification reads b from runs over the
+perfect matchings of every removable G-e of four random bricks on 10 or 12
+vertices, listed before timing.  The rank has no compiled twin, so its line
+times the same Python code under each backend.
 """
 
 import argparse
@@ -21,7 +20,6 @@ from matchcov._kernel import pykernel
 from matchcov.edges import _brick_count
 from matchcov.graph import build, delete_edge
 from matchcov.matching import is_brick, is_matching_covered
-from matchcov.tightcut import _scan_order
 
 try:
     from matchcov._kernel import ckernel
@@ -81,12 +79,6 @@ def bench_claw(mod, graphs):
         mod.is_claw_free(n, _adj(n, edges))
 
 
-def bench_tight(mod, graphs):
-    for g in graphs:
-        eu, ev = g.edge_arrays
-        mod.first_tight_cut(eu, ev, g.perfect_matchings, _scan_order(g.n))
-
-
 def bench_rank(mod, graphs):
     for g in graphs:
         _brick_count(g)
@@ -109,13 +101,11 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    deletions = _brick_edge_deletions(4, 4, 10, 12)
     workloads = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
         ("claw detection", bench_claw, _random_graphs(3, 2000, 8, 14)),
-        ("tight-cut scan", bench_tight, deletions),
-        ("matching rank", bench_rank, deletions),
+        ("matching rank", bench_rank, _brick_edge_deletions(4, 4, 10, 12)),
     ]
 
     results = {}

@@ -1,10 +1,12 @@
 """Kernel backend selection.
 
-The hot kernels (canonical labeling, matching search, claw detection, the
-tight-cut subset scan) exist twice: a Cython extension (ckernel) and a pure
-Python twin (pykernel) with the same results.  Callers use the functions
-defined here, which choose the backend per call.  The compiled backend is used
-when importable; set MATCHCOV_KERNEL=py or =c to force one.
+The hot kernels (canonical labeling, matching search, claw detection) exist
+twice: a Cython extension (ckernel) and a pure Python twin (pykernel) with the
+same results.  Callers use the functions defined here, which choose the
+backend per call.  The compiled backend is used when importable; set
+MATCHCOV_KERNEL=py or =c to force one.  first_tight_cut (the odd-subset
+tight-cut scan) has no caller; it stays only because the benchmark's layer
+tracer names it.
 """
 
 import os

@@ -2,10 +2,12 @@
 
 The compiled kernel (ckernel) provides every function defined here, with
 byte-identical results; it also still defines boundary_mask, canon_full and
-canon_cert, which nothing calls.  Everything here works on primitive data: a
-vertex count plus either per-vertex neighbor bitmasks (simple adjacency) or
-parallel edge-endpoint arrays, so both backends stay byte-compatible and the
-rest of the package never touches backend details.
+canon_cert, which nothing calls.  first_tight_cut has no caller either, and
+stays only because the benchmark's layer tracer names it.  Everything here
+works on primitive data: a vertex count plus either per-vertex neighbor
+bitmasks (simple adjacency) or parallel edge-endpoint arrays, so both backends
+stay byte-compatible and the rest of the package never touches backend
+details.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);

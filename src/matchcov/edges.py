@@ -7,9 +7,11 @@ as not-b-invariant.
 Every verdict comes from _edge_class, which works from the host's perfect
 matchings (Graph.perfect_matchings): the matchings of G-e are the host's
 matchings that avoid e, which _edge_class hands to G-e as its own list, and
-the matchings that contain e give the solitary count.  The list and b(G) are
-computed once per host, so each edge costs one rank per G-e (removable edges
-only) and no further matching search of G-e.
+the matchings that contain e give the solitary count.  G-e is matching
+covered iff its matchings cover its edges: a matching covered host is
+2-connected (or has 2 vertices), so G-e stays connected.  The list and b(G)
+are computed once per host, so each edge costs one rank per G-e (removable
+edges only) and no further matching search of G-e.
 
 b comes from the matching rank, not from a tight-cut decomposition: for a
 matching covered G, b(G) = m - n + 2 - rank_Q(M), where the rows of M are the
@@ -80,7 +82,10 @@ def _edge_class(g, e, b_of_g):
     avoiding = tuple(p & low | p >> 1 & ~low for p in pms if not p & bit)
     rest.__dict__["perfect_matchings"] = avoiding   # fill the cached property
     capped = min(len(pms) - len(avoiding), 2)
-    removable = is_matching_covered(rest)
+    covered = 0
+    for p in avoiding:
+        covered |= p
+    removable = rest.m > 0 and covered == (1 << rest.m) - 1
     b_inv = _brick_count(rest) == b_of_g if removable else None
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
 

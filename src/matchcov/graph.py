@@ -325,15 +325,18 @@ def is_three_connected(g):
     disconnects the graph, so does removing two vertices that spare a vertex
     in each of two of its components.
     """
-    if g.n < 4:
-        return False
+    return g.n >= 4 and _two_separator(g) is None
+
+
+def _two_separator(g):
+    """The first pair a < b whose removal disconnects the simple view, or None."""
     adj = g.adj
     full = (1 << g.n) - 1
     for a in range(g.n):
         for b in range(a + 1, g.n):
             if not _spans(adj, full & ~(1 << a) & ~(1 << b)):
-                return False
-    return True
+                return a, b
+    return None
 
 
 def is_claw_free(g):

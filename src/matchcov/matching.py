@@ -7,7 +7,7 @@ count as distinct edges throughout (contracted graphs rely on this).
 Each Graph lists its perfect matchings once, as Graph.perfect_matchings,
 always complete; counting goes through the kernel.  Bicriticality asks only
 whether each G-u-v has a perfect matching, so it answers every pair from one
-memo over alive vertex sets of the simple view (see is_bicritical).
+memo over alive vertex sets of the simple view (see _pm_memo).
 """
 
 from . import _kernel
@@ -60,17 +60,22 @@ def is_matching_covered(g):
 
 
 def is_bicritical(g):
-    """G minus any two distinct vertices still has a perfect matching.
-
-    One memo per call maps a bit set of alive vertices to whether the simple
-    view induced on it has a perfect matching.  A set is filled in by matching
-    its lowest vertex to each of its neighbours in the set, and every pair
-    u < v is then looked up as the full set less u and v.  The pairs share
-    most of their subproblems, so no state is searched twice.
-    """
+    """G minus any two distinct vertices still has a perfect matching."""
     _check_size(g)
-    if g.n % 2 or g.n < 2:
-        return False
+    return g.n >= 2 and g.n % 2 == 0 and next(_pm_memo(g)[1], None) is None
+
+
+def _pm_memo(g):
+    """(has_pm, unmatched) for a graph of even order: the memo behind
+    is_bicritical and its witnesses.
+
+    has_pm(alive) says whether the simple view induced on the vertex bit set
+    alive has a perfect matching.  A set is filled in by matching its lowest
+    vertex to each of its neighbours in the set, and the answers are kept, so
+    the pairs u < v, each looked up as the full set less u and v, share most
+    of their subproblems.  unmatched lazily yields, in that order, each pair
+    for which G-u-v has no perfect matching.
+    """
     adj = g.adj
     memo = {0: True}
 
@@ -89,8 +94,9 @@ def is_bicritical(g):
         return found
 
     full = (1 << g.n) - 1
-    return all(has_pm(full & ~(1 << u) & ~(1 << v))
-               for u in range(g.n) for v in range(u + 1, g.n))
+    unmatched = ((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if not has_pm(full & ~(1 << u) & ~(1 << v)))
+    return has_pm, unmatched
 
 
 def is_brick(g):

@@ -1,33 +1,23 @@
 """Tight cuts, the tight-cut decomposition, and b(G).
 
-The nontrivial tight-cut search is exhaustive over odd vertex subsets, using
-the graph's perfect matchings (Graph.perfect_matchings) as bit vectors.  The
-deterministic scan order (|X| ascending, then numeric value of the bit set)
-makes decomposition traces reproducible; it is built once per vertex count
-and cached.  A test that checks the Lovasz invariance of the brick/brace
-multiset shuffles the scan by replacing _scan_order, which the search reads
-on every call.
+A matching covered graph that is neither a brick nor a brace has a
+nontrivial barrier cut or 2-separation cut, and a bipartite one that is not a
+brace a cut S + N(S) with |N(S)| = |S| + 1 (Edmonds, Lovasz and Pulleyblank,
+Combinatorica 1982; Lovasz, JCTB 1987).  find_nontrivial_tight_cut reads
+these shores off the witnesses of the brick funnel's own predicates, so it is
+bounded only by MAX_EXACT_N, like every exact operation.
 
 decompose runs the one contraction recursion and labels no piece: b counts
 the nonbipartite pieces, and DecompositionResult.certificates() labels the
 pieces only when asked.  Edge classification reads b from the matching rank
-instead (see edges.py), so the scan serves the CLI decompose, the selftest
-and the tests.
-
-Cut boundaries are computed here, not in the kernel; the compiled kernel
-still defines boundary_mask, canon_full and canon_cert, which nothing calls.
+instead (see edges.py); decompose serves the CLI, the selftest and tests.
 """
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations
 
-from . import _kernel
-from .errors import CapacityError, PreconditionError
-from .graph import canonical_form, contract, is_bipartite
-from .matching import is_matching_covered
-
-MAX_TIGHT_SCAN_N = 20
+from .errors import PreconditionError
+from .graph import _reach, _two_separator, canonical_form, contract, is_bipartite
+from .matching import _pm_memo, is_matching_covered
 
 
 @dataclass(frozen=True)
@@ -72,31 +62,82 @@ def is_tight(g, x):
     return all((m & cut.boundary).bit_count() == 1 for m in g.perfect_matchings)
 
 
-@cache
-def _scan_order(n):
-    """Candidate nontrivial cut shores for n, in scan order, built once.
-
-    A tuple of vertex masks: odd |X| with 3 <= |X| <= n/2, so the other
-    shore has at least 3 vertices too.
-    """
-    subsets = []
-    for size in range(3, n // 2 + 1, 2):
-        subsets.extend(sorted(sum(1 << v for v in comb)
-                              for comb in combinations(range(n), size)))
-    return tuple(subsets)
-
-
 def find_nontrivial_tight_cut(g):
-    """First nontrivial tight cut in scan order, or None."""
-    if g.n > MAX_TIGHT_SCAN_N:
-        raise CapacityError(f"tight-cut scan supports n <= {MAX_TIGHT_SCAN_N}, got {g.n}")
+    """A nontrivial tight cut of a matching covered g: a barrier, 2-separation
+    or Hall cut (see the shores below), or None when g is a brick or a brace."""
     if not is_matching_covered(g):
         raise PreconditionError("tight-cut search requires a matching covered graph")
-    eu, ev = g.edge_arrays
-    x = _kernel.first_tight_cut(eu, ev, g.perfect_matchings, _scan_order(g.n))
-    if x < 0:
-        return None
-    return make_cut(g, x)
+    x = _hall_shore(g) if is_bipartite(g) else _barrier_shore(g) or _separation_shore(g)
+    return make_cut(g, x) if x else None
+
+
+def _barrier_shore(g):
+    """A component K of G-B with |K| >= 3 for a maximal barrier B, or 0 when
+    the nonbipartite g is bicritical.
+
+    B is u, from the first pair u < v with no perfect matching of G-u-v, with
+    every w for which G-u-w has none.  Each perfect matching joins each odd
+    component of G-B to B by one edge; B is independent and g nonbipartite,
+    so some K has |K| >= 3, and B with the other components leaves >= 3.
+    """
+    has_pm, unmatched = _pm_memo(g)
+    pair = next(unmatched, None)
+    if pair is None:
+        return 0
+    full = (1 << g.n) - 1
+    barrier = sum(1 << w for w in range(g.n)
+                  if w == pair[0] or not has_pm(full & ~(1 << pair[0] | 1 << w)))
+    rest = full & ~barrier
+    while rest:
+        comp = _reach(g.adj, rest & -rest, rest)
+        if comp.bit_count() >= 3:
+            return comp
+        rest &= ~comp
+    raise AssertionError("a maximal barrier left no component of 3 or more vertices")
+
+
+def _separation_shore(g):
+    """C with a, for the first separating pair a < b of the bicritical g and
+    the component C of G-a-b that holds its lowest vertex; 0 when g is
+    3-connected.  C is even, so each perfect matching crosses the cut once:
+    by a's edge, or by the edge that matches C to b."""
+    pair = _two_separator(g)
+    if pair is None:
+        return 0
+    rest = (1 << g.n) - 1 & ~(1 << pair[0] | 1 << pair[1])
+    return _reach(g.adj, rest & -rest, rest) | 1 << pair[0]
+
+
+def _hall_shore(g):
+    """S with N(S), |N(S)| = |S| + 1, for the bipartite g; 0 for a brace.
+
+    e and f are the first disjoint edges in no common perfect matching: G
+    less their ends has none.  A perfect matching M through e, less the ends
+    of e and f, exposes the partners of f's ends and joins them by no
+    alternating path.  S is what alternating paths from one partner reach;
+    N(S) is S's other partners and the far ends of e, f; 1 <= |S| <= |A| - 2.
+    """
+    has_pm = _pm_memo(g)[0]
+    full = (1 << g.n) - 1
+    ends = [1 << u | 1 << v for u, v in g.edges]
+    pair = next(((i, j) for i in range(g.m) for j in range(i + 1, g.m)
+                 if not ends[i] & ends[j] and not has_pm(full & ~ends[i] & ~ends[j])), None)
+    if pair is None:
+        return 0
+    i, j = pair
+    p = next(p for p in g.perfect_matchings if p >> i & 1)
+    mate = [0] * g.n
+    for k, (u, v) in enumerate(g.edges):
+        if p >> k & 1:
+            mate[u], mate[v] = v, u
+    alive = full & ~ends[i] & ~ends[j]
+    alternate = [0] * g.n    # v -> the partners of v's neighbours in alive
+    for u, v in g.edges:
+        if alive >> u & alive >> v & 1:
+            alternate[u] |= 1 << mate[v]
+            alternate[v] |= 1 << mate[u]
+    s = _reach(alternate, 1 << mate[g.edges[j][1]], alive)
+    return s | sum(1 << w for w in range(g.n) if g.adj[w] & s)
 
 
 def decompose(g):
@@ -113,7 +154,7 @@ def decompose(g):
     trace = []
 
     def rec(h):
-        cut = find_nontrivial_tight_cut(h) if h.n >= 6 else None
+        cut = find_nontrivial_tight_cut(h)
         if cut is None:
             pieces.append((h, not is_bipartite(h)))
             return

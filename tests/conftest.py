@@ -4,28 +4,25 @@ import random
 
 import pytest
 
-from matchcov import tightcut
+from matchcov.graph import build
+from matchcov.tightcut import decompose
 
 
 @pytest.fixture
 def shuffled_decompose():
-    """decompose(g) under a shuffled tight-cut scan: shuffled_decompose(g, seed).
+    """decompose(g) of a relabeled copy of g: shuffled_decompose(g, seed).
 
-    Each scan of the decomposition reads a copy of the cached order shuffled
-    by one random.Random(seed); the cached order itself never changes.
+    random.Random(seed) permutes the vertices and shuffles the edge order, so
+    the decomposition meets its pairs, components and separators in another
+    order and may choose other cuts; the pieces stay the same up to
+    isomorphism (Lovasz).
     """
-    real = tightcut._scan_order
-
     def run(g, seed):
         rng = random.Random(seed)
-
-        def shuffled(n):
-            order = list(real(n))
-            rng.shuffle(order)
-            return order
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tightcut, "_scan_order", shuffled)
-            return tightcut.decompose(g)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        pairs = [(perm[u], perm[v]) for u, v in g.edges]
+        rng.shuffle(pairs)
+        return decompose(build(g.n, pairs))
 
     return run

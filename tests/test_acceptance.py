@@ -163,7 +163,7 @@ def test_criterion_6_decomposition_invariance(shuffled_decompose):
             ok &= (alt.b, alt.braces) == (base.b, base.braces)
         if not ok:
             break
-    _verdict(6, "200 graphs x 10 scan orders give identical brick/brace "
+    _verdict(6, "200 graphs x 10 relabelings give identical brick/brace "
                 "certificate multisets", ok, time.monotonic() - t0, 300)
 
 

@@ -65,6 +65,18 @@ def test_decompose_alias(capsys):
     assert out.count("simple_g6=C~") == 2  # both pieces are K4
 
 
+def test_decompose_takes_graphs_to_32_vertices(capsys):
+    def prism(k):
+        return nx.to_graph6_bytes(nx.circular_ladder_graph(k), header=False).decode().strip()
+
+    code, out, _ = run(capsys, "decompose", prism(11))
+    assert code == 0
+    assert out.startswith("b=1 braces=0 pieces=1\npiece 0: brick n=22 m=33 ")
+    code, _, err = run(capsys, "decompose", prism(17))
+    assert code == 3
+    assert "support n <= 32" in err
+
+
 def test_unknown_name_is_usage_error(capsys):
     code, _, err = run(capsys, "props", "W7")
     assert code == 2

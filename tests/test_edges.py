@@ -203,25 +203,30 @@ def test_classification_runs_no_tight_cut_search(monkeypatch):
 
 
 def test_each_graph_is_checked_matching_covered_once(monkeypatch):
-    """One check of the host, and one of each G-e, which also decides its
-    removability; the rank trusts both."""
-    calls = []
-    real = matching.is_matching_covered
+    """One check of the host, which also runs the one connectivity search;
+    each G-e is decided removable from its matching list alone, and the rank
+    trusts both."""
+    covered, connected = [], []
+    real_covered, real_connected = matching.is_matching_covered, matching.is_connected
 
-    def counting(g):
-        calls.append(g.n)
-        return real(g)
+    def counting_covered(g):
+        covered.append(g.n)
+        return real_covered(g)
 
-    monkeypatch.setattr(matching, "is_matching_covered", counting)
-    monkeypatch.setattr(edges, "is_matching_covered", counting)
+    def counting_connected(g):
+        connected.append(g.n)
+        return real_connected(g)
+
+    monkeypatch.setattr(matching, "is_matching_covered", counting_covered)
+    monkeypatch.setattr(edges, "is_matching_covered", counting_covered)
+    monkeypatch.setattr(matching, "is_connected", counting_connected)
     w = catalog("W6_PLUSPLUS")
     for g in (catalog("PETERSEN"), w, delete_edge(w, w.edge_index(3, 4))):
-        calls.clear()
-        classify_all(g)
-        assert len(calls) == 1 + g.m, to_graph6(g)
-        calls.clear()
-        classify_edge(g, 0)
-        assert len(calls) == 2, to_graph6(g)
+        for classify in (classify_all, lambda g: classify_edge(g, 0)):
+            covered.clear()
+            connected.clear()
+            classify(g)
+            assert covered == connected == [g.n], to_graph6(g)
 
 
 def _prism(k):
@@ -230,17 +235,19 @@ def _prism(k):
 
 
 def test_odd_prisms_match_a_decompose_reference():
-    """For n <= 18 the records agree with b read off the tight-cut
-    decomposition; the 22-vertex prism, beyond the scan, extends the pattern:
-    the rungs are the removable edges, each b-invariant, none solitary."""
-    for k in (3, 5, 7, 9):
+    """Each odd prism to n = 22 decomposes to one brick, and its records
+    agree with b read off the tight-cut decomposition; on the 22-vertex
+    prism the rungs are the removable edges, each b-invariant, none
+    solitary."""
+    for k in (3, 5, 7, 9, 11):
         g = _prism(k)
-        b_of_g = decompose(g).b
+        res = decompose(g)
+        assert (res.b, res.braces, res.trace) == (1, 0, ()), k
         for c in classify_all(g).classes:
             rest = delete_edge(g, c.edge)
             removable = is_matching_covered(rest)
             assert c.removable == removable, (k, c.edge)
-            assert c.b_invariant == (decompose(rest).b == b_of_g if removable else None)
+            assert c.b_invariant == (decompose(rest).b == res.b if removable else None)
             assert c.pm_count_capped == min(count_pm_containing(g, c.edge), 2)
     g = _prism(11)
     rep = classify_all(g)

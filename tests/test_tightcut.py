@@ -9,11 +9,12 @@ import matchcov
 from matchcov._kernel import pykernel
 from matchcov.catalog import catalog, names
 from matchcov.errors import PreconditionError
-from matchcov.graph import (build, canonical_form, contract, delete_edge, is_isomorphic,
+from matchcov.edges import _brick_count
+from matchcov.graph import (build, canonical_form, contract, delete_edge, is_bipartite,
+                            is_isomorphic, is_three_connected, parse_graph6,
                             underlying_simple)
-from matchcov.matching import enumerate_perfect_matchings, is_matching_covered
-from matchcov.tightcut import (_scan_order, decompose, find_nontrivial_tight_cut, is_tight,
-                               make_cut)
+from matchcov.matching import enumerate_perfect_matchings, is_bicritical, is_matching_covered
+from matchcov.tightcut import decompose, find_nontrivial_tight_cut, is_tight, make_cut
 
 import oracles
 
@@ -154,7 +155,8 @@ def test_python_scan_matches_per_edge_reference():
     for g in graphs:
         eu, ev = g.edge_arrays
         pms = enumerate_perfect_matchings(g)
-        orders = [_scan_order(g.n)]
+        orders = [[sum(1 << v for v in comb) for size in range(3, g.n // 2 + 1, 2)
+                   for comb in combinations(range(g.n), size)]]
         for _ in range(3):
             shuffled = list(orders[0])
             rng.shuffle(shuffled)
@@ -205,12 +207,45 @@ def test_decompose_labels_pieces_only_for_certificates(monkeypatch):
         assert sorted(calls) == sorted(h.n for h, _ in res.pieces)
 
 
-def test_shuffled_scan_leaves_the_cached_order_intact(shuffled_decompose):
-    g = catalog("W6_PLUSPLUS")
-    gp = delete_edge(g, g.edge_index(3, 4))   # two tight shores of size 3
-    order = _scan_order(gp.n)
-    before = decompose(gp).trace
-    for seed in range(8):
-        shuffled_decompose(gp, seed)
-    assert decompose(gp).trace == before
-    assert _scan_order(gp.n) == order == tuple(sorted(order))
+def test_each_shore_gives_a_tight_nontrivial_cut():
+    """A barrier cut for a graph that is not bicritical, a 2-separation cut
+    for a bicritical one that is not 3-connected, and a Hall cut S + N(S)
+    for a bipartite one that is not a brace."""
+    w = catalog("W6_PLUSPLUS")
+    # E`]o is EQyo with 0 and 3 swapped: its barrier {0, 4} leaves the
+    # singleton {1} as the first component, which is no shore
+    barrier, swapped = parse_graph6("EQyo"), parse_graph6("E`]o")
+    separated, hall = delete_edge(w, w.edge_index(3, 4)), hexagon()
+    assert not is_bipartite(barrier) and not is_bicritical(barrier)
+    assert is_bicritical(separated) and not is_three_connected(separated)
+    assert is_bipartite(hall)
+    for g, shore in ((barrier, [0, 2, 4]), (swapped, [2, 3, 5]),
+                     (separated, [0, 2, 3]), (hall, [0, 4, 5])):
+        cut = find_nontrivial_tight_cut(g)
+        assert cut.vertices() == shore and not cut.trivial and is_tight(g, cut)
+
+
+def test_decompose_beyond_twenty_vertices_matches_the_rank():
+    """Hamiltonian cycles plus random chords, bipartite or not, on 22-26
+    vertices: decompose's b is the matching rank's, and each cut is tight."""
+    rng = random.Random(15)
+    checked = cuts = 0
+    while checked < 10:
+        n = rng.choice((22, 24, 26))
+        bipartite = checked % 3 == 0
+        pairs = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+        for _ in range(rng.randrange(n // 2, 2 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            if not bipartite or (v - u) % 2:
+                pairs.add((u, v))
+        perm = rng.sample(range(n), n)
+        g = build(n, [(perm[u], perm[v]) for u, v in sorted(pairs)])
+        if not is_matching_covered(g):
+            continue
+        checked += 1
+        assert decompose(g).b == _brick_count(g), (n, g.edges)
+        cut = find_nontrivial_tight_cut(g)
+        if cut is not None:
+            cuts += 1
+            assert not cut.trivial and is_tight(g, cut)
+    assert 0 < cuts < checked
