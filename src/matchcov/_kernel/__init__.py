@@ -7,6 +7,12 @@ backend per call.  The compiled backend is used when importable; set
 MATCHCOV_KERNEL=py or =c to force one.  first_tight_cut (the odd-subset
 tight-cut scan) has no caller; it stays only because the benchmark's layer
 tracer names it.
+
+root_colors, the coloring canon_auto's search starts from, lets generation
+reject a child before labeling it (see generate.py).  It has no compiled
+twin, and a Python refinement costs several C labelings, so under the
+compiled kernel it returns None and generation labels every child that the
+max-degree pretest passes.
 """
 
 import os
@@ -36,8 +42,18 @@ _C_MAX_MATCH_N = 32
 _C_MAX_EDGES = 128
 
 
-def canon_auto(n, adj):
-    if _impl is not _py and n > _C_MAX_CANON_N:
+def root_colors(n, adj):
+    """pykernel.root_colors under the Python kernel, else None (no
+    information)."""
+    return _py.root_colors(n, adj) if _impl is _py else None
+
+
+def canon_auto(n, adj, colors=None):
+    """colors: root_colors(n, adj) or None.  The compiled kernel computes its
+    own, and so does its Python fallback, since root_colors gave it none."""
+    if _impl is _py:
+        return _py.canon_auto(n, adj, colors)
+    if n > _C_MAX_CANON_N:
         return _py.canon_auto(n, adj)
     return _impl.canon_auto(n, adj)
 

@@ -1,9 +1,10 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
-The compiled kernel (ckernel) provides every function defined here, with
-byte-identical results; it also still defines boundary_mask, canon_full and
-canon_cert, which nothing calls.  first_tight_cut has no caller either, and
-stays only because the benchmark's layer tracer names it.  Everything here
+The compiled kernel (ckernel) provides every function defined here but
+root_colors, with byte-identical results; it also still defines
+boundary_mask, canon_full and canon_cert, which nothing calls.
+first_tight_cut has no caller either, and stays only because the
+benchmark's layer tracer names it.  Everything here
 works on primitive data: a vertex count plus either per-vertex neighbor
 bitmasks (simple adjacency) or parallel edge-endpoint arrays, so both backends
 stay byte-compatible and the rest of the package never touches backend
@@ -23,22 +24,29 @@ BACKEND_NAME = "py"
 # ---------------------------------------------------------------------------
 
 def _refine(n, adj, colors):
-    """Equitable refinement: split color classes by neighbor-color counts."""
+    """Equitable refinement: split color classes by neighbor-color counts.
+
+    colors must use every value from 0 to max(colors), as _normalize leaves
+    them; so does the result.
+    """
     while True:
         ncolors = max(colors) + 1
         masks = [0] * ncolors
         for v in range(n):
             masks[colors[v]] |= 1 << v
-        sigs = [
-            (colors[v],) + tuple((adj[v] & masks[c]).bit_count() for c in range(ncolors))
-            for v in range(n)
-        ]
-        order = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(order)}
-        new = [rank[sigs[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+        sigs = [(colors[v], *map(int.bit_count, map(adj[v].__and__, masks)))
+                for v in range(n)]
+        distinct = set(sigs)
+        if len(distinct) == ncolors:
+            return colors       # no cell split, so the ranks would repeat colors
+        rank = {s: i for i, s in enumerate(sorted(distinct))}
+        colors = [rank[s] for s in sigs]
+
+
+def root_colors(n, adj):
+    """The coloring canon_auto's search starts from: degrees refined to an
+    equitable partition."""
+    return _refine(n, adj, _normalize([a.bit_count() for a in adj]))
 
 
 def _leaf_perm(n, colors):
@@ -58,7 +66,7 @@ def _cert_bits(n, adj, perm):
     return bytes([n]) + bytes(bits)
 
 
-def canon_auto(n, adj):
+def canon_auto(n, adj, colors=None):
     """Canonical certificate of a simple graph given as neighbor bitmasks.
 
     Returns (cert, perm, orbits, gens): cert is permutation-invariant bytes,
@@ -66,13 +74,17 @@ def canon_auto(n, adj):
     representative label of v's automorphism orbit, and gens is the list of
     automorphisms discovered by the search (they generate the full group).
 
-    perm[-1] is always a vertex of maximum degree: the search starts from
-    degree colors, and refinement and individualization only split color
-    cells, never reorder them.  Generation relies on this (see generate.py).
+    colors, when given, must be root_colors(n, adj), computed once by the
+    caller.  The search starts from them, and refinement and
+    individualization only split color cells, never reorder them.  So
+    perm[-1] and its whole orbit lie in the last cell of the root coloring,
+    among the vertices of maximum degree.  Generation relies on this (see
+    generate.py).
     """
     if n == 0:
         return b"\x00", (), (), ()
-    colors = _refine(n, adj, _normalize([a.bit_count() for a in adj]))
+    if colors is None:
+        colors = root_colors(n, adj)
 
     best = [None, None]        # cert, perm
     first = [None, None]

@@ -182,7 +182,7 @@ _ROW_TYPES = {f.name: f.type for f in fields(CensusRecord) if f.name != "tags"}
 def _cache_row(path, lineno, line):
     """The row on a cache line; MatchcovError naming the line unless it is a
     JSON object with exactly the _ROW_TYPES fields, each of its type (a bool
-    is no int)."""
+    is no int), that do not contradict each other."""
     try:
         row = json.loads(line)
     except ValueError:
@@ -195,6 +195,20 @@ def _cache_row(path, lineno, line):
             raise MatchcovError(
                 f"{path}:{lineno}: cache field {key} must be {typ.__name__}, "
                 f"not {type(row[key]).__name__}")
+    g6, n, m = row["g6"], row["n"], row["m"]
+    binv, sol, every = row["b_invariant"], row["solitary"], row["every_b_invariant_solitary"]
+    for bad, what in (
+            (not row["brick"], "brick is false"),
+            (not g6 or ord(g6[0]) - 63 != n, "n is not the graph6 header's n"),
+            (not 0 <= m <= n * (n - 1) // 2, "m is not between 0 and n(n-1)/2"),
+            (not (0 <= binv <= m and 0 <= sol <= m),
+             "b_invariant or solitary is below 0 or above m"),
+            (not binv and not every,
+             "b_invariant is 0 but every_b_invariant_solitary is false"),
+            (every and sol < binv,
+             "every_b_invariant_solitary is true but solitary < b_invariant")):
+        if bad:
+            raise MatchcovError(f"{path}:{lineno}: cache row contradicts itself: {what}")
     return row
 
 

@@ -11,6 +11,7 @@ import errno
 import os
 import sys
 
+from ._kernel import BACKEND
 from .catalog import catalog as named_graph
 from .catalog import entry as catalog_entry
 from .catalog import names as catalog_names
@@ -83,6 +84,7 @@ def cmd_props(args):
     flags["brick"] = flags["three_connected"] and flags["bicritical"]
     for key, val in flags.items():
         print(f"{key}={str(val).lower() if isinstance(val, bool) else val}")
+    print(f"backend={BACKEND}")
     return EXIT_OK
 
 
@@ -168,6 +170,7 @@ def _check_report_path(path):
 
 def cmd_selftest(args):
     from .selftest import run_selftest
+    print(f"backend={BACKEND}")
     return EXIT_OK if run_selftest(verbose=True) else EXIT_VERDICT_FAIL
 
 

@@ -13,7 +13,7 @@ cheap tests (the edges min_degree forces, min_degree, the max-degree pretest
 below) before any orbit work.  The parent's automorphisms preserve |s| and
 vertex degrees, so an orbit passes these tests whole or not at all: the first
 s of an orbit to pass is its smallest member, and only that s has its orbit
-walked and marked seen.
+walked and marked seen.  The root-cell pretest below comes after that walk.
 
 final_level, the one way into a level, keeps every level below n whole (min
 degree is not hereditary under vertex deletion), pushes min_degree down only
@@ -26,6 +26,16 @@ only split color cells without reordering them, so the vertex at the last
 canonical position always has maximum degree.  Vertices in one orbit have
 equal degree, so a child whose new vertex falls short of the maximum would
 fail the canonical-deletion test anyway: skipping it is exact.
+
+The same argument holds for the root coloring, the degree coloring refined
+to an equitable partition, which is where canon_auto's search starts (McKay's
+rule, as in nauty's geng: test a cheap invariant the canonical labeling
+respects before running it).  The vertex at the last canonical position lies
+in the last root cell, and so does its orbit, so a child whose new vertex
+lies elsewhere is skipped unlabeled.  A child that passes hands its root
+colors on to canon_auto, which does not refine them again.  Under the
+compiled kernel _kernel.root_colors gives no information, and every child the
+max-degree pretest passes is labeled.
 
 Each accepted child keeps the canonical perm of the canon_auto call that
 accepted it.  generate_all_graphs hands it on as Graph.canonical_perm, so
@@ -81,7 +91,10 @@ class CanonicalAugmenter:
                             seen[img] = 1
                             stack.append(img)
                 adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
-                _, perm, orbits, gens = _kernel.canon_auto(n, adj)
+                colors = _kernel.root_colors(n, adj)
+                if colors is not None and colors[n - 1] != max(colors):
+                    continue  # the new vertex is outside the last root cell
+                _, perm, orbits, gens = _kernel.canon_auto(n, adj, colors)
                 # canonical deletion: the vertex at the last canonical position;
                 # the child survives only when the freshly added vertex is in
                 # its orbit

@@ -235,9 +235,9 @@ def labeled(monkeypatch):
     calls = []
     labeler = matchcov._kernel.canon_auto
 
-    def counting(n, adj):
+    def counting(n, adj, colors=None):
         calls.append((n, tuple(adj)))
-        return labeler(n, adj)
+        return labeler(n, adj, colors)
 
     monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
     return calls

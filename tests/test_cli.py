@@ -5,7 +5,7 @@ import json
 import networkx as nx
 import pytest
 
-from matchcov import census, cli, matching
+from matchcov import _kernel, census, cli, matching
 from matchcov.census import CensusConfig, run_census
 from matchcov.cli import main
 from matchcov.graph import build, canonical_graph6
@@ -27,6 +27,7 @@ def test_props_petersen(capsys):
     code, out, _ = run(capsys, "props", "PETERSEN")
     assert code == 0
     assert "brick=true" in out and "claw_free=false" in out
+    assert out.endswith(f"\nbackend={_kernel.BACKEND}\n")
 
 
 def test_props_tests_bicriticality_once(capsys, monkeypatch):
@@ -267,6 +268,19 @@ EJMW_CACHE_ROW = ('{"b_invariant": 8, "brick": true, "claw_free": true, '
     ((K4_CACHE_ROW, EL_O_CACHE_ROW.replace("{", '{"tags": [], ')),
      2, "a cache row has exactly the fields g6, n, m,"),
     ((K4_CACHE_ROW, "not json\n", EL_O_CACHE_ROW), 2, "cache line is not JSON"),
+    # well typed, but the fields contradict each other
+    ((K4_CACHE_ROW, EL_O_CACHE_ROW.replace('"brick": true', '"brick": false')),
+     2, "cache row contradicts itself: brick is false"),
+    ((EL_O_CACHE_ROW.replace('"n": 6', '"n": 7'),),
+     1, "cache row contradicts itself: n is not the graph6 header's n"),
+    ((K4_CACHE_ROW.replace('"m": 6', '"m": 7'),),
+     1, "cache row contradicts itself: m is not between 0 and n(n-1)/2"),
+    ((K4_CACHE_ROW, EJMW_CACHE_ROW.replace('"solitary": 2', '"solitary": -1')),
+     2, "cache row contradicts itself: b_invariant or solitary is below 0 or above m"),
+    ((K4_CACHE_ROW, EJMW_CACHE_ROW.replace('"b_invariant": 8', '"b_invariant": 12')),
+     2, "cache row contradicts itself: b_invariant or solitary is below 0 or above m"),
+    ((K4_CACHE_ROW, EL_O_CACHE_ROW.replace('"solitary": 4', '"solitary": 3')),
+     2, "cache row contradicts itself: every_b_invariant_solitary is true but solitary <"),
 ])
 def test_census_rejects_a_malformed_cache_line(tmp_path, capsys, lines, lineno, message):
     cache = tmp_path / "cache.jsonl"
@@ -278,6 +292,24 @@ def test_census_rejects_a_malformed_cache_line(tmp_path, capsys, lines, lineno, 
     assert err.startswith(f"error: {cache}:{lineno}: {message}") and err.count("\n") == 1
     assert "verdict" not in out
     assert cache.read_bytes() == before
+
+
+def test_census_rejects_a_poisoned_cache_row(tmp_path, capsys):
+    """EL~o's row with no b-invariant edge and the flag false would turn main
+    to PASS; the contradiction stops the run instead."""
+    cache = tmp_path / "cache.jsonl"
+    argv = ("census", "--max-n", "6", "--claw-free", "--check", "all", "--cache", str(cache))
+    assert run(capsys, *argv)[0] == 1
+    lines = cache.read_text().splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, start=1) if '"EL~o"' in line)
+    row = json.loads(lines[lineno - 1])
+    row.update(b_invariant=0, every_b_invariant_solitary=False)
+    lines[lineno - 1] = json.dumps(row, sort_keys=True) + "\n"
+    cache.write_text("".join(lines))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "verdict" not in out
+    assert err.startswith(f"error: {cache}:{lineno}: cache row contradicts itself: "
+                          "b_invariant is 0 but every_b_invariant_solitary is false")
 
 
 def test_census_skips_a_truncated_last_cache_line(tmp_path, capsys):
@@ -307,6 +339,7 @@ def test_census_keeps_a_last_cache_row_without_its_newline(tmp_path, capsys):
 def test_selftest_reports_the_known_failure(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 1  # the built-in main-theorem expectation fails honestly
+    assert out.startswith(f"backend={_kernel.BACKEND}\n")
     assert out.count("[PASS]") == 8
     assert out.count("[FAIL]") == 1
     assert "main-theorem census" in out

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from matchcov import _kernel
+from matchcov._kernel import pykernel
 from matchcov.errors import CapacityError
 from matchcov.generate import CanonicalAugmenter, generate_all_graphs
 from matchcov.graph import canonical_form, is_connected
@@ -29,18 +30,28 @@ def test_counts_match_burnside_oracle():
 
 
 def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch):
+    """Generation labels a child only when its new vertex lies in the last
+    cell of the root coloring, which holds only vertices of maximum degree,
+    and hands canon_auto those root colors."""
+    monkeypatch.setattr(_kernel, "_impl", _kernel._py)  # the pretest is Python's
     real = _kernel.canon_auto
     labeled = []
 
-    def checked(n, adj):
+    def checked(n, adj, colors=None):
+        root = pykernel.root_colors(n, adj)
+        assert colors == root and root[n - 1] == max(root)
         assert adj[n - 1].bit_count() == max(a.bit_count() for a in adj)
         labeled.append(n)
-        return real(n, adj)
+        return real(n, adj, colors)
 
     monkeypatch.setattr(_kernel, "canon_auto", checked)
     assert sum(1 for _ in generate_all_graphs(7)) == KNOWN_COUNTS[7]
-    assert sum(1 for _ in generate_all_graphs(8, min_degree=3, connected=True)) == 2589
-    assert 8 in labeled
+    labeled.clear()
+    # the census's draw: levels 8 down to 1 from one shared augmenter
+    aug = CanonicalAugmenter()
+    assert sum(1 for n in range(8, 0, -1) for _ in generate_all_graphs(
+        n, min_degree=3, connected=True, augmenter=aug)) == 2762
+    assert len(labeled) == 3865 and 8 in labeled
 
 
 def test_no_duplicate_classes_up_to_6():

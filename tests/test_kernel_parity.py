@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from matchcov import _kernel
 from matchcov._kernel import pykernel
-from matchcov.generate import generate_all_graphs
+from matchcov.generate import CanonicalAugmenter, generate_all_graphs
 
 import oracles
 
@@ -84,13 +85,20 @@ def test_canon_parity_symmetric_graphs(ckernel):
         assert pykernel.canon_auto(n, adj)[0] == ckernel.canon_auto(n, adj)[0]
 
 
-def _assert_last_position_has_max_degree(kernel):
-    # generation skips every child whose new vertex is below maximum degree
+def _graphs_to_label():
     graphs = [(g.n, g.adj) for n in range(1, 8) for g in generate_all_graphs(n)]
-    graphs += [(n, _adj(n, edges)) for n, edges in _cases(431, 300, max_n=14)]
-    for n, adj in graphs:
-        perm = kernel.canon_auto(n, adj)[1]
+    return graphs + [(n, _adj(n, edges)) for n, edges in _cases(431, 300, max_n=14)]
+
+
+def _assert_last_position_has_max_degree(kernel):
+    # generation skips every child whose new vertex is outside the last cell
+    # of the root coloring, and that cell holds only vertices of maximum degree
+    for n, adj in _graphs_to_label():
+        _, perm, orbits, _ = kernel.canon_auto(n, adj)
+        colors = pykernel.root_colors(n, adj)
+        last = max(colors)
         assert adj[perm[-1]].bit_count() == max(a.bit_count() for a in adj)
+        assert all(colors[v] == last for v in range(n) if orbits[v] == orbits[perm[-1]])
 
 
 def test_canon_puts_a_max_degree_vertex_last():
@@ -99,6 +107,44 @@ def test_canon_puts_a_max_degree_vertex_last():
 
 def test_canon_puts_a_max_degree_vertex_last_compiled(ckernel):
     _assert_last_position_has_max_degree(ckernel)
+
+
+def test_canon_from_given_root_colors_is_canon():
+    for n, adj in _graphs_to_label():
+        assert pykernel.canon_auto(n, adj, pykernel.root_colors(n, adj)) == \
+            pykernel.canon_auto(n, adj)
+
+
+def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
+    """Under the compiled kernel, root_colors gives no information, so
+    generation labels every child the max-degree pretest passes, and neither
+    the compiled canon_auto nor its Python fallback gets colors it did not
+    compute."""
+    monkeypatch.setattr(_kernel, "_impl", ckernel)
+    assert _kernel.root_colors(4, _adj(4, [(0, 1), (1, 2)])) is None
+    real = ckernel.canon_auto
+    calls = []
+
+    def counting(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(ckernel, "canon_auto", counting)
+    aug = CanonicalAugmenter()
+    compiled = [(g.edges, g.canonical_perm) for n in range(8, 0, -1)
+                for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug)]
+    assert len(calls) == 5477
+    monkeypatch.setattr(_kernel, "_impl", pykernel)
+    aug = CanonicalAugmenter()
+    assert compiled == [(g.edges, g.canonical_perm) for n in range(8, 0, -1)
+                        for g in generate_all_graphs(n, min_degree=3, connected=True,
+                                                     augmenter=aug)]
+    # wrong colors are dropped, beyond the compiled width too
+    monkeypatch.setattr(_kernel, "_impl", ckernel)
+    rng = random.Random(433)
+    for n in range(_kernel._C_MAX_CANON_N - 2, _kernel._C_MAX_CANON_N + 4):
+        adj = _adj(n, oracles.random_simple_graph(rng, n, 0.5))
+        assert _kernel.canon_auto(n, adj, [0] * n)[:3] == pykernel.canon_auto(n, adj)[:3]
 
 
 def test_matching_parity(ckernel):
