@@ -1,11 +1,10 @@
 """Build script: compiles the kernel extension when possible.
 
-With Cython the extension is built from ckernel.pyx; without it, from the
-committed C translation ckernel.c, so an offline machine with only a C
-compiler still gets the compiled kernel.  The package is fully functional
-without the extension (the pure-Python twin in matchcov._kernel.pykernel is
-selected at import time), so a failed extension build degrades to a
-source-only install instead of aborting.
+The extension matchcov._kernel.ckernel is built from the hand-written C
+source src/matchcov/_kernel/ckernel.c, so a C compiler is all it needs.  The
+package is fully functional without it (the pure-Python twin in
+matchcov._kernel.pykernel is selected at import time), so a failed build
+degrades to a source-only install instead of aborting.
 
 In-place build for running from the source tree (PYTHONPATH=src):
 
@@ -18,14 +17,7 @@ from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 from setuptools.errors import CCompilerError, ExecError, PlatformError
 
-kernel = Extension("matchcov._kernel.ckernel", ["src/matchcov/_kernel/ckernel.pyx"])
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize([kernel], language_level="3")
-except Exception:  # no Cython, or it failed on the .pyx: compile the C file
-    kernel.sources = ["src/matchcov/_kernel/ckernel.c"]
-    ext_modules = [kernel]
+kernel = Extension("matchcov._kernel.ckernel", ["src/matchcov/_kernel/ckernel.c"])
 
 
 class OptionalBuildExt(build_ext):
@@ -39,4 +31,4 @@ class OptionalBuildExt(build_ext):
             print(f"warning: building without the compiled kernel ({exc})", file=sys.stderr)
 
 
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[kernel], cmdclass={"build_ext": OptionalBuildExt})

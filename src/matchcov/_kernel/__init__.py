@@ -1,12 +1,12 @@
 """Kernel backend selection.
 
 The hot kernels (canonical labeling, matching search, claw detection) exist
-twice: a Cython extension (ckernel) and a pure Python twin (pykernel) with the
-same results.  Callers use the functions defined here, which choose the
-backend per call.  The compiled backend is used when importable; set
-MATCHCOV_KERNEL=py or =c to force one.  first_tight_cut (the odd-subset
-tight-cut scan) has no caller; it stays only because the benchmark's layer
-tracer names it.
+twice: a hand-written C extension (ckernel.c) and a pure Python twin
+(pykernel) with the same results.  Callers use the functions defined here,
+which choose the backend per call.  The compiled backend is used when
+importable; set MATCHCOV_KERNEL=py or =c to force one.  first_tight_cut (the
+odd-subset tight-cut scan) exists only in Python and has no caller; it stays
+only because the benchmark's layer tracer names it.
 
 root_colors, the coloring canon_auto's search starts from, lets generation
 reject a child before labeling it (see generate.py).  It has no compiled
@@ -36,7 +36,8 @@ else:
 BACKEND = _impl.BACKEND_NAME
 
 # The compiled kernel packs vertex sets into machine words and matchings into
-# two 64-bit words; fall back to the Python twin beyond those widths.
+# two 64-bit words, and raises ValueError beyond those widths; send such
+# inputs to the Python twin instead.
 _C_MAX_CANON_N = 16
 _C_MAX_MATCH_N = 32
 _C_MAX_EDGES = 128
@@ -77,6 +78,4 @@ def is_claw_free(n, adj):
 
 
 def first_tight_cut(eu, ev, pms, subsets):
-    if _impl is not _py and len(eu) > _C_MAX_EDGES:
-        return _py.first_tight_cut(eu, ev, pms, subsets)
-    return _impl.first_tight_cut(eu, ev, pms, subsets)
+    return _py.first_tight_cut(eu, ev, pms, subsets)

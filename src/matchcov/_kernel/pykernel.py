@@ -1,14 +1,13 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
-The compiled kernel (ckernel) provides every function defined here but
-root_colors, with byte-identical results; it also still defines
-boundary_mask, canon_full and canon_cert, which nothing calls.
-first_tight_cut has no caller either, and stays only because the
-benchmark's layer tracer names it.  Everything here
-works on primitive data: a vertex count plus either per-vertex neighbor
-bitmasks (simple adjacency) or parallel edge-endpoint arrays, so both backends
-stay byte-compatible and the rest of the package never touches backend
-details.
+The compiled kernel (ckernel.c) provides canon_auto, enumerate_pms,
+count_pms and is_claw_free with byte-identical results, within its widths.
+root_colors and first_tight_cut exist only here; first_tight_cut has no
+caller, and stays only because the benchmark's layer tracer names it.
+Everything here works on primitive data: a vertex count plus either
+per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
+arrays, so both backends stay byte-compatible and the rest of the package
+never touches backend details.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);

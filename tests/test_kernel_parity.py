@@ -9,8 +9,11 @@ build fails (no C compiler, say).
 import importlib.util
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -54,22 +57,24 @@ def _adj(n, edges):
     return adj
 
 
-def _cases(seed, count, max_n=12):
+def _cases(seed, count, max_n=12, min_n=1):
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randrange(1, max_n + 1)
+        n = rng.randrange(min_n, max_n + 1)
         yield n, oracles.random_simple_graph(rng, n, rng.random())
 
 
 def test_canon_parity(ckernel):
     assert ckernel.BACKEND_NAME == "c"
-    for n, edges in _cases(401, 300):
+    # n = 15 and 16 fill the 16-bit vertex masks
+    for n, edges in [*_cases(401, 300), *_cases(437, 30, max_n=16, min_n=15)]:
         adj = _adj(n, edges)
-        pc, pp, po, _ = pykernel.canon_auto(n, adj)
-        cc, cp, co, _ = ckernel.canon_auto(n, adj)
+        pc, pp, po, pg = pykernel.canon_auto(n, adj)
+        cc, cp, co, cg = ckernel.canon_auto(n, adj)
         assert pc == cc
         assert list(pp) == list(cp)
         assert list(po) == list(co)
+        assert pg == cg
 
 
 def test_canon_parity_symmetric_graphs(ckernel):
@@ -79,10 +84,12 @@ def test_canon_parity_symmetric_graphs(ckernel):
         (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),      # 2 x K3
         (10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
               (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]),
+        (15, [(v, (v + 1) % 15) for v in range(15)]),               # C15
+        (16, [(u, v) for u in range(8) for v in range(8, 16)]),     # K8,8
     ]
     for n, edges in fixtures:
         adj = _adj(n, edges)
-        assert pykernel.canon_auto(n, adj)[0] == ckernel.canon_auto(n, adj)[0]
+        assert pykernel.canon_auto(n, adj) == ckernel.canon_auto(n, adj)
 
 
 def _graphs_to_label():
@@ -147,8 +154,26 @@ def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
         assert _kernel.canon_auto(n, adj, [0] * n)[:3] == pykernel.canon_auto(n, adj)[:3]
 
 
+def _few_matchings(seed, count):
+    """Graphs on 24 to 32 vertices with 65 to 128 edges, so matchings cross
+    64 bits, yet with few perfect matchings.  Edges join 2i to 2j+1 for
+    j >= i, which allows only the matching {2i, 2i+1}; two edges with j < i
+    add a few more.  Edge order is shuffled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(24, 33, 2)
+        k = n // 2
+        upper = [(2 * i, 2 * j + 1) for i in range(k) for j in range(i + 1, k)]
+        lower = [(2 * j, 2 * i + 1) for i in range(k) for j in range(i + 1, k)]
+        m = rng.randrange(65, min(128, k + len(upper) + 2) + 1)
+        edges = [(2 * i, 2 * i + 1) for i in range(k)]
+        edges += rng.sample(upper, m - k - 2) + rng.sample(lower, 2)
+        rng.shuffle(edges)
+        yield n, edges
+
+
 def test_matching_parity(ckernel):
-    for n, edges in _cases(409, 200, max_n=10):
+    for n, edges in [*_cases(409, 200, max_n=10), *_few_matchings(439, 30)]:
         eu = [u for u, _ in edges]
         ev = [v for _, v in edges]
         assert pykernel.enumerate_pms(n, eu, ev, 0) == ckernel.enumerate_pms(n, eu, ev, 0)
@@ -162,22 +187,54 @@ def test_claw_parity(ckernel):
         assert pykernel.is_claw_free(n, adj) == ckernel.is_claw_free(n, adj)
 
 
-def test_tight_cut_scan_parity(ckernel):
-    rng = random.Random(421)
-    from itertools import combinations
-    for _ in range(100):
-        n = rng.choice((4, 6, 8))
-        edges = oracles.random_simple_graph(rng, n, rng.uniform(0.3, 0.8))
-        eu = [u for u, _ in edges]
-        ev = [v for _, v in edges]
-        pms = pykernel.enumerate_pms(n, eu, ev, 0)
-        if not pms:
-            continue
-        subsets = [sum(1 << v for v in comb)
-                   for size in range(3, n // 2 + 1, 2)
-                   for comb in combinations(range(n), size)]
-        assert (pykernel.first_tight_cut(eu, ev, pms, subsets)
-                == ckernel.first_tight_cut(eu, ev, pms, subsets))
+def test_compiled_entries_refuse_inputs_past_their_widths(ckernel):
+    """Each compiled entry raises instead of writing past a fixed array or
+    answering for a graph it cannot hold; the dispatch sends such inputs to
+    pykernel."""
+    def full(n):
+        return _adj(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+    def perfect(n, extra=0):
+        return [2 * i for i in range(n // 2)] * (1 + extra), \
+            [2 * i + 1 for i in range(n // 2)] * (1 + extra)
+
+    calls = [
+        lambda: ckernel.canon_auto(17, full(17)),
+        lambda: ckernel.canon_auto(3, [0, 0, 1 << 3]),
+        lambda: ckernel.canon_auto(3, [1 << 0, 0, 0]),
+        lambda: ckernel.canon_auto(3, [0, 0]),
+        lambda: ckernel.enumerate_pms(34, *perfect(34)),
+        lambda: ckernel.count_pms(34, *perfect(34)),
+        lambda: ckernel.count_pms(4, *perfect(4, extra=64)),     # m = 130
+        lambda: ckernel.enumerate_pms(4, *perfect(4, extra=64)),
+        lambda: ckernel.count_pms(2, [0], [5], 0),
+        lambda: ckernel.enumerate_pms(2, [0], [-1], 0),
+        lambda: ckernel.count_pms(2, [0, 1], [1], 0),
+        lambda: ckernel.is_claw_free(65, [0] * 65),
+        lambda: ckernel.is_claw_free(3, [0, 0, 1 << 3]),
+        lambda: ckernel.is_claw_free(3, [0, 0, -1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    # the widths themselves are accepted
+    assert ckernel.canon_auto(16, full(16))[0] == pykernel.canon_auto(16, full(16))[0]
+    assert ckernel.count_pms(32, *perfect(32)) == 1
+    assert ckernel.count_pms(4, *perfect(4, extra=63)) == 64 ** 2
+    assert ckernel.is_claw_free(64, [0] * 64)
+
+
+def test_c_source_compiles_without_warnings():
+    """The guard on the hand-written C source: it compiles against this
+    Python's headers with -Wall -Werror."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if not shutil.which(cc[0]):
+        pytest.skip("no C compiler found")
+    proc = subprocess.run(
+        [*cc, "-fsyntax-only", "-Wall", "-Werror", "-I", sysconfig.get_paths()["include"],
+         str(ROOT / "src" / "matchcov" / "_kernel" / "ckernel.c")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_backend_names():
