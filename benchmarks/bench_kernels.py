@@ -7,6 +7,12 @@ labeling over a random graph batch, perfect matching enumeration (what edge
 classification lists) and claw detection.  Both backends are imported
 directly, bypassing the MATCHCOV_KERNEL selection.
 
+The generation labeling line times canon_auto over the children that
+generation labels under the Python kernel on the way to n=8, as the census
+draws the levels, collected once before timing.  The Python kernel gets each
+child's root colors, as generation hands them over; the compiled one gets
+the adjacency only.
+
 The matching rank that edge classification reads b from runs over the
 perfect matchings of every removable G-e of four random bricks on 10 or 12
 vertices, listed before timing.  The rank has no compiled twin, so its line
@@ -16,8 +22,10 @@ times the same Python code under each backend.
 import argparse
 import random
 import time
+from matchcov import _kernel
 from matchcov._kernel import pykernel
 from matchcov.edges import _brick_count
+from matchcov.generate import CanonicalAugmenter
 from matchcov.graph import build, delete_edge
 from matchcov.matching import is_brick, is_matching_covered
 
@@ -54,6 +62,26 @@ def _brick_edge_deletions(seed, count, n_lo, n_hi):
     return out
 
 
+def _generation_children(max_n):
+    """(n, adj, root colors) of each child labeled under the Python kernel
+    while the census's levels max_n..1 are generated."""
+    children = []
+    saved = _kernel._impl, pykernel.canon_auto
+
+    def record(n, adj, colors=None):
+        children.append((n, adj, colors))
+        return saved[1](n, adj, colors)
+
+    _kernel._impl, pykernel.canon_auto = pykernel, record
+    try:
+        aug = CanonicalAugmenter()
+        for n in range(max_n, 0, -1):
+            aug.final_level(n, min_degree=3, connected=True)
+    finally:
+        _kernel._impl, pykernel.canon_auto = saved
+    return children
+
+
 def _adj(n, edges):
     adj = [0] * n
     for u, v in edges:
@@ -65,6 +93,15 @@ def _adj(n, edges):
 def bench_canon(mod, graphs):
     for n, edges in graphs:
         mod.canon_auto(n, _adj(n, edges))
+
+
+def bench_gen_canon(mod, children):
+    if mod is pykernel:
+        for n, adj, colors in children:
+            mod.canon_auto(n, adj, colors)
+    else:
+        for n, adj, _ in children:
+            mod.canon_auto(n, adj)
 
 
 def bench_pms(mod, graphs):
@@ -103,6 +140,7 @@ def main():
 
     workloads = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
+        ("generation labeling", bench_gen_canon, _generation_children(8)),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
         ("claw detection", bench_claw, _random_graphs(3, 2000, 8, 14)),
         ("matching rank", bench_rank, _brick_edge_deletions(4, 4, 10, 12)),

@@ -10,8 +10,10 @@ only because the benchmark's layer tracer names it.
 
 root_colors, the coloring canon_auto's search starts from, lets generation
 reject a child before labeling it (see generate.py).  It has no compiled
-twin, and a Python refinement costs several C labelings, so under the
-compiled kernel it returns None and generation labels every child that the
+twin, and a Python refinement costs about eight C labelings (on n=9
+children of generation, one 2-vCPU virtual machine: about 24 us per root
+refinement against about 3 us per C canon_auto), so under the compiled
+kernel it returns None and generation labels every child that the
 max-degree pretest passes.
 """
 

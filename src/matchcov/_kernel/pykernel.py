@@ -9,6 +9,14 @@ per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
 arrays, so both backends stay byte-compatible and the rest of the package
 never touches backend details.
 
+Canonical labeling refines only against the cells that split (McKay &
+Piperno, "Practical graph isomorphism II", 2014).  This is exact, not a
+heuristic: it yields the same ordered partition as recounting every cell,
+because in an equitable coloring the counts into a cell that did not split
+are equal across each new cell (see _refine).  So the certificates, perms,
+orbits and generators, in their order, are those of ckernel.c's full
+recount.
+
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
   * matchings are int bitmasks over edge indices;
@@ -22,24 +30,59 @@ BACKEND_NAME = "py"
 # canonical labeling (individualization-refinement with automorphism pruning)
 # ---------------------------------------------------------------------------
 
-def _refine(n, adj, colors):
-    """Equitable refinement: split color classes by neighbor-color counts.
+def _refine(n, adj, colors, changed=None):
+    """Equitable refinement: split color cells by neighbor counts into cells.
+
+    Each round splits every cell on its own, in color order: a cell's
+    members are sorted by their counts into the `changed` cells, and a cell
+    whose members all agree stays whole.  `changed` is every cell in the
+    first round unless given, and afterwards the cells the previous round
+    split off.  This is the splitting-cell refinement of McKay & Piperno
+    ("Practical graph isomorphism II", 2014), and it yields the same ordered
+    partition as sorting by the counts into every cell: after a round, the
+    members of each new cell have equal counts into every old cell, and a
+    cell that did not split is an old cell too, so the counts into it can
+    neither split nor reorder anything.  A caller may likewise name only
+    the cells it split off an equitable coloring, as search does after
+    individualizing a vertex.
 
     colors must use every value from 0 to max(colors), as _normalize leaves
     them; so does the result.
     """
+    cells = [[] for _ in range(max(colors) + 1)]
+    for v in range(n):
+        cells[colors[v]].append(v)
+    if changed is None:
+        changed = range(len(cells))
     while True:
-        ncolors = max(colors) + 1
-        masks = [0] * ncolors
-        for v in range(n):
-            masks[colors[v]] |= 1 << v
-        sigs = [(colors[v], *map(int.bit_count, map(adj[v].__and__, masks)))
-                for v in range(n)]
-        distinct = set(sigs)
-        if len(distinct) == ncolors:
-            return colors       # no cell split, so the ranks would repeat colors
-        rank = {s: i for i, s in enumerate(sorted(distinct))}
-        colors = [rank[s] for s in sigs]
+        masks = []
+        for c in changed:
+            m = 0
+            for v in cells[c]:
+                m |= 1 << v
+            masks.append(m)
+        split = []
+        changed = []
+        for cell in cells:
+            if len(cell) > 1:
+                keys = [(*map(int.bit_count, map(adj[v].__and__, masks)),)
+                        for v in cell]
+                if keys.count(keys[0]) < len(keys):
+                    parts = {}
+                    for v, k in zip(cell, keys):
+                        parts.setdefault(k, []).append(v)
+                    changed.extend(range(len(split), len(split) + len(parts)))
+                    split.extend(parts[k] for k in sorted(parts))
+                    continue
+            split.append(cell)
+        if not changed:
+            break
+        cells = split
+    colors = [0] * n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = c
+    return colors
 
 
 def root_colors(n, adj):
@@ -50,7 +93,10 @@ def root_colors(n, adj):
 
 def _leaf_perm(n, colors):
     # discrete coloring -> perm[i] = vertex at canonical position i
-    return sorted(range(n), key=colors.__getitem__)
+    perm = [0] * n
+    for v in range(n):
+        perm[colors[v]] = v
+    return perm
 
 
 def _cert_bits(n, adj, perm):
@@ -130,8 +176,8 @@ def canon_auto(n, adj, colors=None):
             count[c] += 1
         for c in range(ncolors):
             if count[c] > 1:
-                return [v for v in range(n) if colors[v] == c]
-        return None
+                return c, [v for v in range(n) if colors[v] == c]
+        return None, None
 
     def closure(seed, fixed):
         # orbit closure of `seed` under discovered autos fixing the prefix
@@ -150,7 +196,7 @@ def canon_auto(n, adj, colors=None):
         return out
 
     def search(colors, fixed):
-        cell = target_cell(colors)
+        c0, cell = target_cell(colors)
         if cell is None:
             handle_leaf(colors)
             return
@@ -158,9 +204,11 @@ def canon_auto(n, adj, colors=None):
         for v in cell:
             if v in closure(tried, fixed):
                 continue
-            sub = [c * 2 for c in colors]
-            sub[v] -= 1
-            search(_refine(n, adj, _normalize(sub)), fixed + [v])
+            # individualize v: it keeps color c0, the rest of its cell moves
+            # to c0 + 1, and the cells after it shift up by one
+            sub = [c + (c > c0 or (c == c0 and u != v))
+                   for u, c in enumerate(colors)]
+            search(_refine(n, adj, sub, (c0, c0 + 1)), fixed + [v])
             tried.add(v)
 
     search(colors, [])

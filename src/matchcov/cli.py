@@ -135,6 +135,7 @@ def cmd_census(args):
     for key, val in summary.totals.items():
         print(f"{key}: {val}")
     print(f"verified up to n = {summary.max_n_seen}")
+    print(f"backend={BACKEND}")
     if summary.main_pass is not None:
         print(f"main-theorem verdict: {'PASS' if summary.main_pass else 'FAIL'}")
         if not summary.main_pass:

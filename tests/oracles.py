@@ -196,6 +196,25 @@ def nx_every_b_invariant_solitary(h):
     return True
 
 
+def ref_refine(n, adj, colors):
+    """Equitable refinement, round by round, against every cell.
+
+    Each round gives every vertex the signature (color, neighbor count in
+    each color cell) over neighbor bitmasks adj, and recolors by the rank of
+    the signatures, until no cell splits.  colors use every value from 0 to
+    max(colors); so does the result.
+    """
+    while True:
+        ncolors = max(colors) + 1
+        cells = [[v for v in range(n) if colors[v] == c] for c in range(ncolors)]
+        sigs = [(colors[v], *(sum(adj[v] >> u & 1 for u in cell) for cell in cells))
+                for v in range(n)]
+        distinct = sorted(set(sigs))
+        if len(distinct) == ncolors:
+            return colors
+        colors = [distinct.index(s) for s in sigs]
+
+
 def labeled_class_count(n, keep=None):
     """Isomorphism classes on n vertices by canonizing every labeled graph.
 

@@ -92,7 +92,7 @@ def test_census_thm11_passes(capsys):
     code, out, _ = run(capsys, "census", "--max-n", "6", "--check", "thm11")
     assert code == 0
     assert "theorem-1.1 verdict: PASS" in out
-    assert "verified up to n = 6" in out
+    assert f"verified up to n = 6\nbackend={_kernel.BACKEND}\n" in out
 
 
 def test_census_main_reports_the_counterexample(capsys):

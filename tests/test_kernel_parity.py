@@ -122,6 +122,24 @@ def test_canon_from_given_root_colors_is_canon():
             pykernel.canon_auto(n, adj)
 
 
+def test_refine_matches_round_by_round_reference():
+    """_refine, counting only into the cells that split, gives the same
+    ordered partition as recounting every cell each round: from the degree
+    coloring, and after each individualization search can make."""
+    graphs = [(g.n, g.adj) for n in range(1, 8) for g in generate_all_graphs(n)]
+    for n, adj in graphs + [(n, _adj(n, edges)) for n, edges in _cases(439, 300, max_n=16)]:
+        degrees = [a.bit_count() for a in adj]
+        start = [sorted(set(degrees)).index(d) for d in degrees]
+        root = pykernel._refine(n, adj, start)
+        assert root == oracles.ref_refine(n, adj, start)
+        for v in range(n):
+            c0 = root[v]
+            if root.count(c0) > 1:
+                sub = [c + (c > c0 or (c == c0 and u != v)) for u, c in enumerate(root)]
+                assert pykernel._refine(n, adj, sub, (c0, c0 + 1)) == \
+                    oracles.ref_refine(n, adj, sub)
+
+
 def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
     """Under the compiled kernel, root_colors gives no information, so
     generation labels every child the max-degree pretest passes, and neither
@@ -250,6 +268,6 @@ def test_kernel_benchmark_script_runs():
         [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for label in ("canonical labeling", "matching enumeration", "claw detection",
-                  "matching rank"):
+    for label in ("canonical labeling", "generation labeling", "matching enumeration",
+                  "claw detection", "matching rank"):
         assert label in proc.stdout
