@@ -108,7 +108,7 @@ def bench_pms(mod, graphs):
     for n, edges in graphs:
         eu = [u for u, _ in edges]
         ev = [v for _, v in edges]
-        mod.enumerate_pms(n, eu, ev, 0)
+        mod.enumerate_pms(n, eu, ev)
 
 
 def bench_claw(mod, graphs):

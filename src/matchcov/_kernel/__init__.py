@@ -5,8 +5,9 @@ twice: a hand-written C extension (ckernel.c) and a pure Python twin
 (pykernel) with the same results.  Callers use the functions defined here,
 which choose the backend per call.  The compiled backend is used when
 importable; set MATCHCOV_KERNEL=py or =c to force one.  first_tight_cut (the
-odd-subset tight-cut scan) exists only in Python and has no caller; it stays
-only because the benchmark's layer tracer names it.
+odd-subset tight-cut scan) exists only in Python and has no caller, and
+count_pms is len(enumerate_pms(...)) with no caller; both stay only because
+the benchmark's layer tracer names them.
 
 root_colors, the coloring canon_auto's search starts from, lets generation
 reject a child before labeling it (see generate.py).  It has no compiled
@@ -61,16 +62,14 @@ def canon_auto(n, adj, colors=None):
     return _impl.canon_auto(n, adj)
 
 
-def enumerate_pms(n, eu, ev, cap=0):
+def enumerate_pms(n, eu, ev):
     if _impl is not _py and (n > _C_MAX_MATCH_N or len(eu) > _C_MAX_EDGES):
-        return _py.enumerate_pms(n, eu, ev, cap)
-    return _impl.enumerate_pms(n, eu, ev, cap)
+        return _py.enumerate_pms(n, eu, ev)
+    return _impl.enumerate_pms(n, eu, ev)
 
 
-def count_pms(n, eu, ev, cap=0):
-    if _impl is not _py and (n > _C_MAX_MATCH_N or len(eu) > _C_MAX_EDGES):
-        return _py.count_pms(n, eu, ev, cap)
-    return _impl.count_pms(n, eu, ev, cap)
+def count_pms(n, eu, ev):
+    return len(enumerate_pms(n, eu, ev))
 
 
 def is_claw_free(n, adj):

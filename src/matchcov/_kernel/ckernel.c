@@ -1,14 +1,14 @@
 /* Compiled kernel: the C twin of pykernel, written against the CPython API.
 
-   It exports canon_auto, enumerate_pms, count_pms and is_claw_free, each
-   with pykernel's signature and byte-identical results: the same
+   It exports canon_auto, enumerate_pms and is_claw_free, each with
+   pykernel's signature and byte-identical results: the same
    certificates, perms, orbits, automorphism generators in discovery order,
    and perfect matchings in the same order.  Vertex sets are machine words,
    so each entry has a width, and raises ValueError beyond it rather than
    write past an array:
 
      canon_auto     n <= 16
-     *_pms          n <= 32, m <= 128 edges, every endpoint < n
+     enumerate_pms  n <= 32, m <= 128 edges, every endpoint < n
      is_claw_free   n <= 64
 
    and every adjacency mask must fit in n bits; canon_auto also refuses a
@@ -463,8 +463,7 @@ typedef struct {
     int eu[MAX_EDGES], ev[MAX_EDGES];
     int inc_off[MAX_MATCH_N + 1];       /* the edges at v: inc[inc_off[v]:inc_off[v+1]] */
     int inc[2 * MAX_EDGES];
-    long long count, cap;
-    PyObject *out;                      /* the list of matchings, or NULL to count */
+    PyObject *out;                      /* the list of matchings */
 } PM;
 
 static void
@@ -495,22 +494,16 @@ edge_mask(uint64_t lo, uint64_t hi)
     return PyLong_FromString(hex, NULL, 16);
 }
 
-/* 1 to stop (cap reached), 0 to go on, -1 on error; unmatched is the set
-   of free vertices, lo and hi the chosen edges. */
+/* 0, or -1 on error; unmatched is the set of free vertices, lo and hi the
+   chosen edges. */
 static int
 pm_rec(PM *st, uint64_t unmatched, uint64_t lo, uint64_t hi)
 {
     if (unmatched == 0) {
-        st->count++;
-        if (st->out != NULL) {
-            PyObject *mask = edge_mask(lo, hi);
-            if (mask == NULL || PyList_Append(st->out, mask) < 0) {
-                Py_XDECREF(mask);
-                return -1;
-            }
-            Py_DECREF(mask);
-        }
-        return st->cap && st->count >= st->cap;
+        PyObject *mask = edge_mask(lo, hi);
+        int r = mask == NULL ? -1 : PyList_Append(st->out, mask);
+        Py_XDECREF(mask);
+        return r;
     }
     int v = ctz64(unmatched);
     for (int k = st->inc_off[v]; k < st->inc_off[v + 1]; k++) {
@@ -527,26 +520,8 @@ pm_rec(PM *st, uint64_t unmatched, uint64_t lo, uint64_t hi)
     return 0;
 }
 
-/* Check the arguments (n, eu, ev, cap=0) and run the search; out as in PM. */
-static int
-pm_run(PM *st, const char *fname, PyObject *const *args, Py_ssize_t nargs)
-{
-    int n, m;
-    if (read_n(fname, args, nargs, 3, 4, MAX_MATCH_N, &n) < 0 ||
-        read_edges(args[1], args[2], n, st->eu, st->ev, &m) < 0)
-        return -1;
-    st->count = 0;
-    st->cap = nargs > 3 ? PyLong_AsLongLong(args[3]) : 0;
-    if (st->cap == -1 && PyErr_Occurred())
-        return -1;
-    if (n % 2)
-        return 0;
-    pm_setup(st, n, m);
-    return pm_rec(st, (1ULL << n) - 1, 0, 0) < 0 ? -1 : 0;
-}
-
 PyDoc_STRVAR(enumerate_pms_doc,
-"enumerate_pms($module, n, eu, ev, cap=0, /)\n--\n\n"
+"enumerate_pms($module, n, eu, ev, /)\n--\n\n"
 "List of edge masks; see pykernel.enumerate_pms.  n <= 32, at most 128\n"
 "edges, every endpoint below n.");
 
@@ -554,27 +529,17 @@ static PyObject *
 enumerate_pms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     PM st;
-    st.out = PyList_New(0);
-    if (st.out == NULL)
+    int n, m;
+    if (read_n("enumerate_pms", args, nargs, 3, 3, MAX_MATCH_N, &n) < 0 ||
+        read_edges(args[1], args[2], n, st.eu, st.ev, &m) < 0)
         return NULL;
-    if (pm_run(&st, "enumerate_pms", args, nargs) < 0)
+    st.out = PyList_New(0);
+    if (st.out == NULL || n % 2)
+        return st.out;
+    pm_setup(&st, n, m);
+    if (pm_rec(&st, (1ULL << n) - 1, 0, 0) < 0)
         Py_CLEAR(st.out);
     return st.out;
-}
-
-PyDoc_STRVAR(count_pms_doc,
-"count_pms($module, n, eu, ev, cap=0, /)\n--\n\n"
-"Number of perfect matchings, at most cap unless cap is 0; widths as for\n"
-"enumerate_pms.");
-
-static PyObject *
-count_pms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PM st;
-    st.out = NULL;
-    if (pm_run(&st, "count_pms", args, nargs) < 0)
-        return NULL;
-    return PyLong_FromLongLong(st.count);
 }
 
 
@@ -625,7 +590,6 @@ static PyMethodDef ckernel_methods[] = {
     {"canon_auto", (PyCFunction)(void (*)(void))canon_auto, METH_FASTCALL, canon_auto_doc},
     {"enumerate_pms", (PyCFunction)(void (*)(void))enumerate_pms, METH_FASTCALL,
      enumerate_pms_doc},
-    {"count_pms", (PyCFunction)(void (*)(void))count_pms, METH_FASTCALL, count_pms_doc},
     {"is_claw_free", (PyCFunction)(void (*)(void))is_claw_free, METH_FASTCALL, is_claw_free_doc},
     {NULL, NULL, 0, NULL},
 };

@@ -1,9 +1,11 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
-The compiled kernel (ckernel.c) provides canon_auto, enumerate_pms,
-count_pms and is_claw_free with byte-identical results, within its widths.
-root_colors and first_tight_cut exist only here; first_tight_cut has no
-caller, and stays only because the benchmark's layer tracer names it.
+The compiled kernel (ckernel.c) provides canon_auto, enumerate_pms and
+is_claw_free with byte-identical results, within its widths.  root_colors
+and first_tight_cut exist only here; first_tight_cut has no caller, and
+stays only because the benchmark's layer tracer names it.  There is no
+counting twin: a count is the length of enumerate_pms's list, and the
+dispatch's count_pms, which only the tracer names, is that one line.
 Everything here works on primitive data: a vertex count plus either
 per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
 arrays, so both backends stay byte-compatible and the rest of the package
@@ -234,11 +236,11 @@ def _incidence(n, eu, ev):
     return inc
 
 
-def enumerate_pms(n, eu, ev, cap=0):
+def enumerate_pms(n, eu, ev):
     """All perfect matchings as edge bitmasks, in a fixed deterministic order.
 
     Branches on the lowest free vertex, over its incident edges in edge-index
-    order.  cap=0 means exhaustive; otherwise stop after cap matchings.
+    order.
     """
     if n % 2:
         return []
@@ -251,22 +253,15 @@ def enumerate_pms(n, eu, ev, cap=0):
     def rec(free, acc):
         if free == 0:
             out.append(acc)
-            return cap and len(out) >= cap
+            return
         v = (free & -free).bit_length() - 1
         for i in inc[v]:
             o = eu[i] ^ ev[i] ^ v
             if o != v and free >> o & 1:
-                if rec(free & ~((1 << v) | (1 << o)), acc | 1 << i):
-                    return True
-        return False
+                rec(free & ~((1 << v) | (1 << o)), acc | 1 << i)
 
     rec(full, 0)
     return out
-
-
-def count_pms(n, eu, ev, cap=0):
-    """Number of perfect matchings, early-exiting at cap (0 = exact)."""
-    return len(enumerate_pms(n, eu, ev, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ as not-b-invariant.
 
 Every verdict comes from _edge_class, which works from the host's perfect
 matchings (Graph.perfect_matchings): the matchings of G-e are the host's
-matchings that avoid e, which _edge_class hands to G-e as its own list, and
+matchings that avoid e, which _minus_edge hands to G-e as its own list, and
 the matchings that contain e give the solitary count.  G-e is matching
 covered iff its matchings cover its edges: a matching covered host is
 2-connected (or has 2 vertices), so G-e stays connected.  The list and b(G)
@@ -32,7 +32,7 @@ class EdgeClass:
     removable: bool
     b_invariant: object     # True/False, or None when not removable
     solitary: bool
-    pm_count_capped: int    # exact up to cap 2
+    pm_count_capped: int    # perfect matchings through the edge, at most 2
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def is_removable(g, e):
     """G minus e is still matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    return is_matching_covered(delete_edge(g, e))
+    return is_matching_covered(_minus_edge(g, e))
 
 
 def is_b_invariant(g, e):
@@ -61,7 +61,7 @@ def is_b_invariant(g, e):
 
 def is_solitary(g, e):
     """Contained in exactly one perfect matching."""
-    return count_pm_containing(g, e, cap=2) == 1
+    return count_pm_containing(g, e) == 1
 
 
 def classify_edge(g, e):
@@ -73,21 +73,27 @@ def classify_edge(g, e):
 
 def _edge_class(g, e, b_of_g):
     """Classify edge e of g from g's perfect matchings and b(G)."""
-    bit = 1 << e
-    low = bit - 1
-    pms = g.perfect_matchings
-    rest = delete_edge(g, e)
-    # G-e's matchings are g's that avoid e, with bit e dropped and the higher
-    # bits shifted down to delete_edge's edge indices
-    avoiding = tuple(p & low | p >> 1 & ~low for p in pms if not p & bit)
-    rest.__dict__["perfect_matchings"] = avoiding   # fill the cached property
-    capped = min(len(pms) - len(avoiding), 2)
+    rest = _minus_edge(g, e)
+    avoiding = rest.perfect_matchings
+    capped = min(len(g.perfect_matchings) - len(avoiding), 2)
     covered = 0
     for p in avoiding:
         covered |= p
     removable = rest.m > 0 and covered == (1 << rest.m) - 1
     b_inv = _brick_count(rest) == b_of_g if removable else None
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
+
+
+def _minus_edge(g, e):
+    """G-e, with its perfect matchings cut from g's list: the ones that avoid
+    e, with bit e dropped and the higher bits shifted down to delete_edge's
+    edge indices."""
+    bit = 1 << e
+    low = bit - 1
+    rest = delete_edge(g, e)
+    rest.__dict__["perfect_matchings"] = tuple(   # fill the cached property
+        p & low | p >> 1 & ~low for p in g.perfect_matchings if not p & bit)
+    return rest
 
 
 def _host_brick_count(g):

@@ -56,7 +56,7 @@ class Graph:
         """
         _check_size(self)
         eu, ev = self.edge_arrays
-        return tuple(_kernel.enumerate_pms(self.n, eu, ev, 0))
+        return tuple(_kernel.enumerate_pms(self.n, eu, ev))
 
     @cached_property
     def edge_arrays(self):

@@ -5,21 +5,22 @@ approximated.  Matchings are bitmasks over edge indices, and parallel edges
 count as distinct edges throughout (contracted graphs rely on this).
 
 Each Graph lists its perfect matchings once, as Graph.perfect_matchings,
-always complete; counting goes through the kernel.  Bicriticality asks only
-whether each G-u-v has a perfect matching, so it answers every pair from one
-memo over alive vertex sets of the simple view (see _pm_memo).
+always complete, and every count is read off that list.  Whether a perfect
+matching exists is asked of one memo over alive vertex sets of the simple
+view (see _pm_memo), which lists nothing; bicriticality answers every G-u-v
+from the same memo.
 """
 
-from . import _kernel
 from .errors import PreconditionError
-from .graph import (MAX_EXACT_N, _check_size, bridges, delete_vertices,
-                    is_connected, is_three_connected)
+from .graph import (MAX_EXACT_N, _check_size, bridges, is_connected,
+                    is_three_connected)
 
 
 def has_perfect_matching(g):
+    """Parallel edges do not change the answer, so the simple view's memo
+    gives it."""
     _check_size(g)
-    eu, ev = g.edge_arrays
-    return _kernel.count_pms(g.n, eu, ev, cap=1) > 0
+    return g.n % 2 == 0 and _pm_memo(g)[0]((1 << g.n) - 1)
 
 
 def enumerate_perfect_matchings(g):
@@ -28,24 +29,16 @@ def enumerate_perfect_matchings(g):
     return g.perfect_matchings
 
 
-def count_perfect_matchings(g, cap=None):
-    _check_size(g)
-    eu, ev = g.edge_arrays
-    return _kernel.count_pms(g.n, eu, ev, 0 if cap is None else cap)
+def count_perfect_matchings(g):
+    return len(g.perfect_matchings)
 
 
-def count_pm_containing(g, e, cap=None):
-    """Perfect matchings of g that contain edge index e, early-exiting at cap.
-
-    Counted via the bijection with perfect matchings of g minus e's endpoints.
-    """
+def count_pm_containing(g, e):
+    """Perfect matchings of g that contain edge index e."""
     _check_size(g)
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    u, v = g.edges[e]
-    rest = delete_vertices(g, (u, v))
-    eu, ev = rest.edge_arrays
-    return _kernel.count_pms(rest.n, eu, ev, 0 if cap is None else cap)
+    return sum(p >> e & 1 for p in g.perfect_matchings)
 
 
 def is_matching_covered(g):
@@ -67,7 +60,7 @@ def is_bicritical(g):
 
 def _pm_memo(g):
     """(has_pm, unmatched) for a graph of even order: the memo behind
-    is_bicritical and its witnesses.
+    has_perfect_matching, is_bicritical and its witnesses.
 
     has_pm(alive) says whether the simple view induced on the vertex bit set
     alive has a perfect matching.  A set is filled in by matching its lowest
@@ -111,12 +104,11 @@ def unique_pm_bridge(g):
     _check_size(g)
     if not is_connected(g):
         raise PreconditionError("unique_pm_bridge requires a connected graph")
-    count = count_perfect_matchings(g, cap=2)
-    if count != 1:
+    pms = g.perfect_matchings
+    if len(pms) != 1:
         raise PreconditionError(
-            f"unique_pm_bridge requires exactly one perfect matching, found "
-            f"{'>=2' if count == 2 else count}")
-    pm = g.perfect_matchings[0]
+            f"unique_pm_bridge requires exactly one perfect matching, found {len(pms)}")
+    pm = pms[0]
     for e in sorted(bridges(g)):
         if pm >> e & 1:
             return e

@@ -67,8 +67,14 @@ def find_nontrivial_tight_cut(g):
     or Hall cut (see the shores below), or None when g is a brick or a brace."""
     if not is_matching_covered(g):
         raise PreconditionError("tight-cut search requires a matching covered graph")
-    x = _hall_shore(g) if is_bipartite(g) else _barrier_shore(g) or _separation_shore(g)
+    x = _shore(g)
     return make_cut(g, x) if x else None
+
+
+def _shore(g):
+    """The shore of find_nontrivial_tight_cut's cut of the matching covered
+    g, which is not checked, or 0 when g is a brick or a brace."""
+    return _hall_shore(g) if is_bipartite(g) else _barrier_shore(g) or _separation_shore(g)
 
 
 def _barrier_shore(g):
@@ -144,8 +150,9 @@ def decompose(g):
     """Tight cut decomposition into bricks and braces; labels no piece.
 
     Pieces follow the recursion (X side first), and the trace holds one cut
-    per contraction step.  A piece the search reached keeps the perfect
-    matchings it listed.
+    per contraction step.  g is checked matching covered once: contracting
+    either shore of a tight cut of a matching covered graph leaves a matching
+    covered graph, so the pieces need no check.
     """
     if not is_matching_covered(g):
         raise PreconditionError(
@@ -154,10 +161,11 @@ def decompose(g):
     trace = []
 
     def rec(h):
-        cut = find_nontrivial_tight_cut(h)
-        if cut is None:
+        x = _shore(h)
+        if not x:
             pieces.append((h, not is_bipartite(h)))
             return
+        cut = make_cut(h, x)
         trace.append(cut)
         co = [v for v in range(h.n) if not cut.x_mask >> v & 1]
         rec(contract(h, cut.vertices())[0])   # shrink X

@@ -71,6 +71,15 @@ def pm_count_dp(n, edges):
     return rec(0)
 
 
+def pm_count_through(n, edges, e):
+    """Perfect matchings that contain edge index e: pm_count_dp of G minus
+    e's endpoints."""
+    u, v = edges[e]
+    pos = {w: i for i, w in enumerate(w for w in range(n) if w not in (u, v))}
+    return pm_count_dp(n - 2, [(pos[a], pos[b]) for a, b in edges
+                               if a in pos and b in pos])
+
+
 def brute_isomorphic(n1, edges1, n2, edges2):
     """Permutation search over all labelings of the underlying simple graphs."""
     if n1 != n2:

@@ -115,7 +115,7 @@ def _random_unique_pm_graph(rng):
         n = rng.choice((4, 6, 8, 10, 12))
         edges = [(rng.randrange(i), i) for i in range(1, n)]
         g = build(n, edges)
-        if count_perfect_matchings(g, cap=2) == 1:
+        if count_perfect_matchings(g) == 1:
             break
     for _ in range(rng.randrange(4)):
         u, v = rng.randrange(g.n), rng.randrange(g.n)
@@ -123,7 +123,7 @@ def _random_unique_pm_graph(rng):
             continue
         from matchcov.graph import add_edge
         cand = add_edge(g, u, v)
-        if count_perfect_matchings(cand, cap=2) == 1:
+        if count_perfect_matchings(cand) == 1:
             g = cand
     return g
 
@@ -174,7 +174,7 @@ def test_criterion_7_spanning_subgraph_fixtures():
         f3 = delete_edge(f3, f3.edge_index(*pair))
     ok = is_isomorphic(f3, catalog("R8"))
     f4cut = delete_vertices(catalog("F4"), (0, 7))
-    ok &= count_perfect_matchings(f4cut, cap=3) >= 2
+    ok &= count_perfect_matchings(f4cut) >= 2
     ok &= is_isomorphic(catalog("F1"), catalog("C6BAR_PLUS"))
     ok &= is_isomorphic(catalog("F2"), catalog("W6"))
     _verdict(7, "8-vertex fixtures reduce to R8 / split the wheel family",

@@ -13,7 +13,7 @@ from matchcov.edges import (_brick_count, _rational_rank, classify_all, classify
                             is_solitary, triangle_nonremovable_edges)
 from matchcov.errors import PreconditionError
 from matchcov.graph import build, contract, delete_edge, is_bipartite, to_graph6
-from matchcov.matching import count_pm_containing, is_brick, is_matching_covered
+from matchcov.matching import is_brick, is_matching_covered
 from matchcov.tightcut import decompose
 
 import oracles
@@ -23,6 +23,13 @@ from test_tightcut import _covered_graphs
 def test_k4_has_no_removable_edge():
     g = catalog("K4")
     assert all(not is_removable(g, e) for e in range(g.m))
+
+
+def test_removable_needs_a_connected_rest():
+    """is_removable takes any host: G-e of a disconnected host can have all
+    its edges in perfect matchings and still not be matching covered."""
+    assert not is_removable(build(4, [(0, 1), (0, 1), (2, 3), (2, 3)]), 0)
+    assert is_removable(build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)]), 0)
 
 
 def test_prism_has_no_removable_edge():
@@ -120,7 +127,7 @@ def test_classification_matches_reference_pipeline():
             continue
         multi += 1
         for c in _check_against_oracles(h).classes:
-            count = count_pm_containing(h, c.edge)
+            count = oracles.pm_count_through(h.n, h.edges, c.edge)
             assert c.pm_count_capped == min(count, 2)
             assert c.solitary == (count == 1)
 
@@ -172,9 +179,9 @@ def test_classification_lists_matchings_only_for_the_host(monkeypatch):
     calls = []
     lister = matchcov._kernel.enumerate_pms
 
-    def counting(n, eu, ev, cap=0):
+    def counting(n, eu, ev):
         calls.append(n)
-        return lister(n, eu, ev, cap)
+        return lister(n, eu, ev)
 
     monkeypatch.setattr(matchcov._kernel, "enumerate_pms", counting)
     w = catalog("W6_PLUSPLUS")
@@ -248,7 +255,7 @@ def test_odd_prisms_match_a_decompose_reference():
             removable = is_matching_covered(rest)
             assert c.removable == removable, (k, c.edge)
             assert c.b_invariant == (decompose(rest).b == res.b if removable else None)
-            assert c.pm_count_capped == min(count_pm_containing(g, c.edge), 2)
+            assert c.pm_count_capped == min(oracles.pm_count_through(g.n, g.edges, c.edge), 2)
     g = _prism(11)
     rep = classify_all(g)
     assert (rep.removable, rep.b_invariant, rep.solitary) == (11, 11, 0)

@@ -6,13 +6,14 @@ from itertools import combinations
 import pytest
 
 import matchcov
+from matchcov import tightcut
 from matchcov._kernel import pykernel
 from matchcov.catalog import catalog, names
 from matchcov.errors import PreconditionError
 from matchcov.edges import _brick_count
 from matchcov.graph import (build, canonical_form, contract, delete_edge, is_bipartite,
                             is_isomorphic, is_three_connected, parse_graph6,
-                            underlying_simple)
+                            to_graph6, underlying_simple)
 from matchcov.matching import enumerate_perfect_matchings, is_bicritical, is_matching_covered
 from matchcov.tightcut import decompose, find_nontrivial_tight_cut, is_tight, make_cut
 
@@ -205,6 +206,47 @@ def test_decompose_labels_pieces_only_for_certificates(monkeypatch):
         assert calls == []
         res.certificates()
         assert sorted(calls) == sorted(h.n for h, _ in res.pieces)
+
+
+def _reference_decompose(g):
+    """decompose's recursion through the checked find_nontrivial_tight_cut:
+    the pieces, as (n, edges), and the trace."""
+    pieces, trace = [], []
+
+    def rec(h):
+        cut = find_nontrivial_tight_cut(h)
+        if cut is None:
+            pieces.append((h.n, h.edges))
+            return
+        trace.append(cut)
+        rec(contract(h, cut.vertices())[0])
+        rec(contract(h, [v for v in range(h.n) if not cut.x_mask >> v & 1])[0])
+
+    rec(g)
+    return pieces, tuple(trace)
+
+
+def test_decompose_checks_matching_covered_once(monkeypatch):
+    """Contracting a tight cut of a matching covered graph leaves matching
+    covered pieces, so decompose checks only its input, and still finds the
+    pieces and cuts of the checked search."""
+    calls = []
+    real = tightcut.is_matching_covered
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(tightcut, "is_matching_covered", counting)
+    w = catalog("W6_PLUSPLUS")
+    graphs = [delete_edge(w, w.edge_index(3, 4)), catalog("C6BAR"), hexagon(), catalog("K33")]
+    graphs += _covered_graphs(random.Random(437), 12, True)
+    for g in graphs:
+        want = _reference_decompose(g)
+        calls.clear()
+        res = decompose(g)
+        assert calls == [g.n], to_graph6(g)
+        assert ([(h.n, h.edges) for h, _ in res.pieces], res.trace) == want
 
 
 def test_each_shore_gives_a_tight_nontrivial_cut():
