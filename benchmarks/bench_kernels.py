@@ -11,7 +11,10 @@ The generation labeling line times canon_auto over the children that
 generation labels under the Python kernel on the way to n=8, as the census
 draws the levels, collected once before timing.  The Python kernel gets each
 child's root colors, as generation hands them over; the compiled one gets
-the adjacency only.
+the adjacency only.  The root refinement line times root_colors over the
+children that generation refines on that way, before it decides which to
+label.  root_colors has no compiled twin, so that line times the same
+Python code under each backend.
 
 The matching rank that edge classification reads b from runs over the
 perfect matchings of every removable G-e of four random bricks on 10 or 12
@@ -63,23 +66,28 @@ def _brick_edge_deletions(seed, count, n_lo, n_hi):
 
 
 def _generation_children(max_n):
-    """(n, adj, root colors) of each child labeled under the Python kernel
-    while the census's levels max_n..1 are generated."""
-    children = []
-    saved = _kernel._impl, pykernel.canon_auto
+    """The children generation handles under the Python kernel while the
+    census's levels max_n..1 are generated: (n, adj) of each it root-refines,
+    and (n, adj, root colors) of each it labels."""
+    refined, labeled = [], []
+    saved = _kernel._impl, pykernel.root_colors, pykernel.canon_auto
 
-    def record(n, adj, colors=None):
-        children.append((n, adj, colors))
-        return saved[1](n, adj, colors)
+    def refine(n, adj):
+        refined.append((n, adj))
+        return saved[1](n, adj)
 
-    _kernel._impl, pykernel.canon_auto = pykernel, record
+    def label(n, adj, colors=None):
+        labeled.append((n, adj, colors))
+        return saved[2](n, adj, colors)
+
+    _kernel._impl, pykernel.root_colors, pykernel.canon_auto = pykernel, refine, label
     try:
         aug = CanonicalAugmenter()
         for n in range(max_n, 0, -1):
             aug.final_level(n, min_degree=3, connected=True)
     finally:
-        _kernel._impl, pykernel.canon_auto = saved
-    return children
+        _kernel._impl, pykernel.root_colors, pykernel.canon_auto = saved
+    return refined, labeled
 
 
 def _adj(n, edges):
@@ -102,6 +110,11 @@ def bench_gen_canon(mod, children):
     else:
         for n, adj, _ in children:
             mod.canon_auto(n, adj)
+
+
+def bench_root(mod, children):
+    for n, adj in children:
+        pykernel.root_colors(n, adj)
 
 
 def bench_pms(mod, graphs):
@@ -138,9 +151,11 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
+    refined, labeled = _generation_children(8)
     workloads = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
-        ("generation labeling", bench_gen_canon, _generation_children(8)),
+        ("generation labeling", bench_gen_canon, labeled),
+        ("root refinement", bench_root, refined),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
         ("claw detection", bench_claw, _random_graphs(3, 2000, 8, 14)),
         ("matching rank", bench_rank, _brick_edge_deletions(4, 4, 10, 12)),

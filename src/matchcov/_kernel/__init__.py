@@ -11,10 +11,11 @@ the benchmark's layer tracer names them.
 
 root_colors, the coloring canon_auto's search starts from, lets generation
 reject a child before labeling it (see generate.py).  It has no compiled
-twin, and a Python refinement costs about eight C labelings (on n=9
-children of generation, one 2-vCPU virtual machine: about 24 us per root
-refinement against about 3 us per C canon_auto), so under the compiled
-kernel it returns None and generation labels every child that the
+twin, and a Python refinement costs about five C labelings (the root
+refinement and generation labeling lines of benchmarks/bench_kernels.py, on
+the children of the census's generation to n=8, one 2-vCPU virtual machine:
+16-19 us per root refinement against 3-5 us per C canon_auto), so under the
+compiled kernel it returns None and generation labels every child that the
 max-degree pretest passes.
 """
 

@@ -11,13 +11,18 @@ per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
 arrays, so both backends stay byte-compatible and the rest of the package
 never touches backend details.
 
-Canonical labeling refines only against the cells that split (McKay &
-Piperno, "Practical graph isomorphism II", 2014).  This is exact, not a
-heuristic: it yields the same ordered partition as recounting every cell,
-because in an equitable coloring the counts into a cell that did not split
-are equal across each new cell (see _refine).  So the certificates, perms,
-orbits and generators, in their order, are those of ckernel.c's full
-recount.
+Canonical labeling keeps its partitions as lists of cell bitmasks and
+refines only against the cells that split (McKay & Piperno, "Practical graph
+isomorphism II", 2014).  The neighbor counts into a cell come for all
+vertices at once, as bit planes summed by a ripple-carry adder over the
+cell's adjacency rows, and a cell splits on one plane at a time, which
+orders its parts as sorting by the counts would.  After search
+individualizes a vertex, the first round is a split by adjacency to it.
+This is exact, not a heuristic: it yields the same ordered partition as
+recounting every cell, because in an equitable coloring the counts into a
+cell that did not split are equal across each new cell (see _refine and
+_individualize).  So the certificates, perms, orbits and generators, in
+their order, are those of ckernel.c's full recount.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
@@ -32,73 +37,119 @@ BACKEND_NAME = "py"
 # canonical labeling (individualization-refinement with automorphism pruning)
 # ---------------------------------------------------------------------------
 
-def _refine(n, adj, colors, changed=None):
-    """Equitable refinement: split color cells by neighbor counts into cells.
+def _count_planes(adj, cell):
+    """Every vertex's neighbor count into `cell`, as bit planes: bit v of
+    planes[j] is bit j of the count of vertex v.  The rows adj[w], w in
+    cell, go through a ripple-carry adder, so each row costs a few bitmask
+    operations whatever n is."""
+    planes = []
+    while cell:
+        low = cell & -cell
+        cell ^= low
+        carry = adj[low.bit_length() - 1]
+        for j, p in enumerate(planes):
+            planes[j] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
 
-    Each round splits every cell on its own, in color order: a cell's
-    members are sorted by their counts into the `changed` cells, and a cell
-    whose members all agree stays whole.  `changed` is every cell in the
-    first round unless given, and afterwards the cells the previous round
-    split off.  This is the splitting-cell refinement of McKay & Piperno
-    ("Practical graph isomorphism II", 2014), and it yields the same ordered
-    partition as sorting by the counts into every cell: after a round, the
-    members of each new cell have equal counts into every old cell, and a
-    cell that did not split is an old cell too, so the counts into it can
-    neither split nor reorder anything.  A caller may likewise name only
-    the cells it split off an equitable coloring, as search does after
-    individualizing a vertex.
 
-    colors must use every value from 0 to max(colors), as _normalize leaves
-    them; so does the result.
+def _refine(adj, cells, changed):
+    """Equitable refinement of an ordered partition given as vertex bitmasks.
+
+    Each round splits every cell on its own, in order, by its members'
+    neighbor counts into the `changed` cells, and a cell whose members all
+    agree stays whole.  The counts come as bit planes (_count_planes), and a
+    cell splits on one plane at a time, from the most significant plane of
+    the first changed cell down to the least significant one of the last,
+    the members with the bit clear first.  So the parts come out sorted by
+    the tuple of counts, as a sort on that tuple would order them.  The
+    caller names the changed cells of the first round (root_colors names
+    them all); after it, they are the parts of the cells that split.
+
+    This is the splitting-cell refinement of McKay & Piperno ("Practical
+    graph isomorphism II", 2014), and it yields the same ordered partition
+    as sorting by the counts into every cell: after a round, the members of
+    each new cell have equal counts into every old cell, and a cell that did
+    not split is an old cell too, so the counts into it can neither split
+    nor reorder anything.  A caller may likewise name only the cells it
+    split off an equitable partition, as _individualize does.
     """
-    cells = [[] for _ in range(max(colors) + 1)]
-    for v in range(n):
-        cells[colors[v]].append(v)
-    if changed is None:
-        changed = range(len(cells))
-    while True:
-        masks = []
-        for c in changed:
-            m = 0
-            for v in cells[c]:
-                m |= 1 << v
-            masks.append(m)
-        split = []
+    while changed:
+        planes = [p for m in changed for p in reversed(_count_planes(adj, m))]
+        out = []
         changed = []
         for cell in cells:
-            if len(cell) > 1:
-                keys = [(*map(int.bit_count, map(adj[v].__and__, masks)),)
-                        for v in cell]
-                if keys.count(keys[0]) < len(keys):
-                    parts = {}
-                    for v, k in zip(cell, keys):
-                        parts.setdefault(k, []).append(v)
-                    changed.extend(range(len(split), len(split) + len(parts)))
-                    split.extend(parts[k] for k in sorted(parts))
-                    continue
-            split.append(cell)
-        if not changed:
-            break
-        cells = split
+            parts = [cell]
+            if cell & (cell - 1):
+                for p in planes:
+                    if cell & p and cell & p != cell:
+                        parts = [q for part in parts
+                                 for q in (part & ~p, part & p) if q]
+                if len(parts) > 1:
+                    changed += parts
+            out += parts
+        cells = out
+    return cells
+
+
+def _individualize(adj, cells, c0, v):
+    """Search's step: v leaves its cell c0 of an equitable partition as the
+    cell just before the rest, and the result is refined.
+
+    The first round is a split by adjacency to v.  A vertex's counts into
+    the changed cells ({v}, rest of c0) are (a, k - a), where a says whether
+    it is adjacent to v and k, its count into the old cell c0, is the same
+    across its cell.  So sorting by them puts v's non-neighbors first."""
+    nb = adj[v]
+    bit = 1 << v
+    out = []
+    changed = []
+    for c, cell in enumerate(cells):
+        if c == c0:
+            out.append(bit)
+            cell ^= bit
+        far, near = cell & ~nb, cell & nb
+        if far and near:
+            out += far, near
+            changed += far, near
+        else:
+            out.append(cell)
+    return _refine(adj, out, changed)
+
+
+def _cells(colors):
+    """Cell bitmasks, in color order, of colors using every value from 0 to
+    max(colors)."""
+    cells = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    return cells
+
+
+def _colors(n, cells):
     colors = [0] * n
     for c, cell in enumerate(cells):
-        for v in cell:
-            colors[v] = c
+        while cell:
+            low = cell & -cell
+            cell ^= low
+            colors[low.bit_length() - 1] = c
     return colors
 
 
 def root_colors(n, adj):
     """The coloring canon_auto's search starts from: degrees refined to an
     equitable partition."""
-    return _refine(n, adj, _normalize([a.bit_count() for a in adj]))
-
-
-def _leaf_perm(n, colors):
-    # discrete coloring -> perm[i] = vertex at canonical position i
-    perm = [0] * n
-    for v in range(n):
-        perm[colors[v]] = v
-    return perm
+    by_degree = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    return _colors(n, _refine(adj, cells, cells))
 
 
 def _cert_bits(n, adj, perm):
@@ -159,8 +210,8 @@ def canon_auto(n, adj, colors=None):
             for v in range(n):
                 union(v, g[v])
 
-    def handle_leaf(colors):
-        p = _leaf_perm(n, colors)
+    def handle_leaf(cells):
+        p = [cell.bit_length() - 1 for cell in cells]   # cells are singletons
         cert = _cert_bits(n, adj, p)
         if first[0] is None:
             first[0], first[1] = cert, p
@@ -170,16 +221,6 @@ def canon_auto(n, adj, colors=None):
             best[0], best[1] = cert, p
         elif cert == best[0]:
             record_auto(best[1], p)
-
-    def target_cell(colors):
-        ncolors = max(colors) + 1
-        count = [0] * ncolors
-        for c in colors:
-            count[c] += 1
-        for c in range(ncolors):
-            if count[c] > 1:
-                return c, [v for v in range(n) if colors[v] == c]
-        return None, None
 
     def closure(seed, fixed):
         # orbit closure of `seed` under discovered autos fixing the prefix
@@ -197,31 +238,27 @@ def canon_auto(n, adj, colors=None):
                     frontier.append(y)
         return out
 
-    def search(colors, fixed):
-        c0, cell = target_cell(colors)
-        if cell is None:
-            handle_leaf(colors)
+    def search(cells, fixed):
+        for c0, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            handle_leaf(cells)
             return
         tried = set()
-        for v in cell:
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             if v in closure(tried, fixed):
                 continue
-            # individualize v: it keeps color c0, the rest of its cell moves
-            # to c0 + 1, and the cells after it shift up by one
-            sub = [c + (c > c0 or (c == c0 and u != v))
-                   for u, c in enumerate(colors)]
-            search(_refine(n, adj, sub, (c0, c0 + 1)), fixed + [v])
+            search(_individualize(adj, cells, c0, v), fixed + [v])
             tried.add(v)
 
-    search(colors, [])
+    search(_cells(colors), [])
     orbits = tuple(find(v) for v in range(n))
     return best[0], tuple(best[1]), orbits, tuple(autos)
-
-
-def _normalize(vals):
-    order = sorted(set(vals))
-    rank = {s: i for i, s in enumerate(order)}
-    return [rank[v] for v in vals]
 
 
 # ---------------------------------------------------------------------------

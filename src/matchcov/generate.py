@@ -15,10 +15,15 @@ vertex degrees, so an orbit passes these tests whole or not at all: the first
 s of an orbit to pass is its smallest member, and only that s has its orbit
 walked and marked seen.  The root-cell pretest below comes after that walk.
 
-final_level, the one way into a level, keeps every level below n whole (min
-degree is not hereditary under vertex deletion), pushes min_degree down only
-into a level n it has not kept, and then filters min degree and connectivity.
-A pushed-down level equals its kept copy filtered, in the same order.
+final_level, the one way into a level, keeps each level with a floor: the
+level holds every class with minimum degree at least its floor, in the order
+of the whole level.  Deleting a vertex lowers each degree by at most one, so
+a class on n vertices with minimum degree d has its canonical parent, and
+every ancestor on k vertices, among the classes of minimum degree at least
+max(0, d - (n - k)).  A draw builds each level below n down to that floor
+only, reuses a level kept with a floor no higher, builds again one kept
+with a higher floor, and then filters min degree and connectivity.  Drawn
+from the top down, as the census draws them, the levels are built once.
 
 Only children whose new vertex has maximum degree reach canon_auto.  The
 labeling starts from degree colors, and refinement and individualization
@@ -53,16 +58,17 @@ class CanonicalAugmenter:
     """Level-cached generator of all isomorphism classes up to MAX_GENERATED_N."""
 
     def __init__(self):
-        # whole level k: list of (adjacency tuple, automorphism generators,
-        # canonical perm)
-        self._levels = {1: [((0,), (), (0,))]}
+        # level k: (floor, list of (adjacency tuple, automorphism generators,
+        # canonical perm)), every class on k vertices with minimum degree at
+        # least floor, in the order of the whole level
+        self._levels = {1: (0, [((0,), (), (0,))])}
 
-    def _augment(self, n, min_degree=0):
-        """Accepted children on n vertices of every level n-1 parent with
-        minimum degree at least min_degree, as (adjacency, automorphism
-        generators, canonical perm)."""
+    def _augment(self, n, min_degree):
+        """Accepted children on n vertices with minimum degree at least
+        min_degree, as (adjacency, automorphism generators, canonical perm).
+        Level n-1 must be kept with a floor of at most min_degree - 1."""
         out = []
-        for parent_adj, autos, _ in self._levels[n - 1]:
+        for parent_adj, autos, _ in self._levels[n - 1][1]:
             # every parent vertex short of min_degree must gain the new edge
             degs = [a.bit_count() for a in parent_adj]
             if min(degs) < min_degree - 1:
@@ -110,16 +116,15 @@ class CanonicalAugmenter:
     def final_level(self, n, min_degree=0, connected=False):
         """Classes on n vertices with minimum degree at least min_degree,
         connected ones only when asked, as (adjacency tuple, canonical perm)
-        pairs.  A level n not kept yet is built with min_degree pushed down,
-        and kept when min_degree is 0."""
+        pairs.  Level k is needed only down to the floor
+        max(0, min_degree - (n - k)); a level kept with a higher floor is
+        built again."""
         _check_n(n)
-        for k in range(max(self._levels) + 1, n):
-            self._levels[k] = self._augment(k)
-        level = self._levels.get(n)
-        if level is None:
-            level = self._augment(n, min_degree)
-            if not min_degree:
-                self._levels[n] = level
+        for k in range(2, n + 1):
+            floor = max(0, min_degree - (n - k))
+            if k not in self._levels or self._levels[k][0] > floor:
+                self._levels[k] = (floor, self._augment(k, floor))
+        level = self._levels[n][1]
         return [(adj, perm) for adj, _, perm in level
                 if min(a.bit_count() for a in adj) >= min_degree
                 and (not connected or _spans(adj, (1 << n) - 1))]

@@ -272,11 +272,10 @@ def test_generated_survivors_are_labeled_only_in_generation(labeled):
 
 
 def test_generated_census_augments_each_level_once(labeled):
-    """The census's generation labels exactly what building levels 1..6
-    whole and level 7 with min degree 3 labels: no level is built twice."""
-    aug = CanonicalAugmenter()
-    aug.classes(6)
-    aug.final_level(7, 3, True)
+    """The census's generation labels exactly what one draw of level 7 with
+    min degree 3 labels, which builds each level below it once, down to the
+    floor that draw needs: no level is built twice."""
+    CanonicalAugmenter().final_level(7, 3, True)
     generated = Counter(labeled)
     labeled.clear()
     run_census(CensusConfig(max_n=7, checks=("thm11",)))

@@ -51,7 +51,7 @@ def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch
     aug = CanonicalAugmenter()
     assert sum(1 for n in range(8, 0, -1) for _ in generate_all_graphs(
         n, min_degree=3, connected=True, augmenter=aug)) == 2762
-    assert len(labeled) == 3865 and 8 in labeled
+    assert len(labeled) == 3297 and 8 in labeled
 
 
 def test_no_duplicate_classes_up_to_6():
@@ -84,10 +84,28 @@ def test_a_kept_level_filters_to_its_pushed_down_build():
     whole = CanonicalAugmenter()
     whole.classes(7)
     for min_degree, connected in ((3, True), (0, True), (3, False), (2, False), (1, True)):
-        pushed = CanonicalAugmenter()  # drawn bottom up, so no level n is kept before it
+        # drawn bottom up, so each draw needs the levels below it at lower
+        # floors than the last one kept them, and builds them again
+        pushed = CanonicalAugmenter()
         for n in range(1, 8):
             assert pushed.final_level(n, min_degree, connected) == whole.final_level(
                 n, min_degree, connected)
+
+
+def test_a_top_down_draw_builds_each_level_to_its_floor():
+    """Drawn from the top down, as the census draws them, levels built only
+    down to the min-degree floor the draw needs are the whole levels
+    filtered: the same pairs in the same order.  Asking for the whole level
+    afterwards builds the floored levels again."""
+    for max_n in range(5, 9):
+        for min_degree in (1, 2, 3):
+            connected = min_degree != 2
+            aug = CanonicalAugmenter()
+            drawn = {n: aug.final_level(n, min_degree, connected)
+                     for n in range(max_n, 0, -1)}
+            assert len(aug.classes(max_n)) == KNOWN_COUNTS[max_n]
+            for n, level in drawn.items():
+                assert level == aug.final_level(n, min_degree, connected)
 
 
 def _keeps(n, edges):

@@ -122,21 +122,41 @@ def test_canon_from_given_root_colors_is_canon():
             pykernel.canon_auto(n, adj)
 
 
+def _random_coloring(rng, n):
+    """Colors that use every value from 0 to their maximum."""
+    colors = [rng.randrange(rng.randrange(1, n + 1)) for _ in range(n)]
+    return [sorted(set(colors)).index(c) for c in colors]
+
+
 def test_refine_matches_round_by_round_reference():
-    """_refine, counting only into the cells that split, gives the same
-    ordered partition as recounting every cell each round: from the degree
-    coloring, and after each individualization search can make."""
+    """_refine, counting by bit planes and only into the cells that split,
+    gives the same ordered partition as recounting every cell each round:
+    from the degree coloring, one cell and random colorings, and after each
+    individualization search can make, where the first round is the split
+    by adjacency.  In the dense graphs on 36 to 40 vertices, counts of 32
+    and more need six bit planes."""
+    rng = random.Random(441)
     graphs = [(g.n, g.adj) for n in range(1, 8) for g in generate_all_graphs(n)]
-    for n, adj in graphs + [(n, _adj(n, edges)) for n, edges in _cases(439, 300, max_n=16)]:
+    graphs += [(n, _adj(n, edges)) for n, edges in _cases(439, 300, max_n=16)]
+    # dense graphs on 36 to 40 vertices, one of them a regular circulant
+    graphs += [(n, _adj(n, oracles.random_simple_graph(rng, n, 0.9))) for n in (36, 38)]
+    graphs.append((40, _adj(40, [(u, v) for u in range(40) for v in range(u + 1, 40)
+                                 if v - u not in (1, 2, 5, 35, 38, 39)])))
+    for n, adj in graphs:
         degrees = [a.bit_count() for a in adj]
-        start = [sorted(set(degrees)).index(d) for d in degrees]
-        root = pykernel._refine(n, adj, start)
-        assert root == oracles.ref_refine(n, adj, start)
+        by_degree = [sorted(set(degrees)).index(d) for d in degrees]
+        for start in (by_degree, [0] * n, _random_coloring(rng, n)):
+            cells = pykernel._cells(start)
+            assert pykernel._colors(n, pykernel._refine(adj, cells, cells)) == \
+                oracles.ref_refine(n, adj, start)
+        root = pykernel.root_colors(n, adj)
+        assert root == oracles.ref_refine(n, adj, by_degree)
+        cells = pykernel._cells(root)
         for v in range(n):
             c0 = root[v]
             if root.count(c0) > 1:
                 sub = [c + (c > c0 or (c == c0 and u != v)) for u, c in enumerate(root)]
-                assert pykernel._refine(n, adj, sub, (c0, c0 + 1)) == \
+                assert pykernel._colors(n, pykernel._individualize(adj, cells, c0, v)) == \
                     oracles.ref_refine(n, adj, sub)
 
 
@@ -158,7 +178,7 @@ def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
     aug = CanonicalAugmenter()
     compiled = [(g.edges, g.canonical_perm) for n in range(8, 0, -1)
                 for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug)]
-    assert len(calls) == 5477
+    assert len(calls) == 4730
     monkeypatch.setattr(_kernel, "_impl", pykernel)
     aug = CanonicalAugmenter()
     assert compiled == [(g.edges, g.canonical_perm) for n in range(8, 0, -1)
