@@ -1,7 +1,7 @@
 """matchcov: matching covered graphs, bricks, tight cuts, and edge censuses.
 
-The hot kernels (canonical labeling, matching search, claw detection) have a
-compiled backend with a pure-Python twin; see matchcov._kernel.
+The hot kernels (canonical labeling, matching search) have a compiled
+backend with a pure-Python twin; see matchcov._kernel.
 """
 
 from ._kernel import BACKEND as KERNEL_BACKEND

@@ -1,15 +1,13 @@
 /* Compiled kernel: the C twin of pykernel, written against the CPython API.
 
-   It exports canon_auto, enumerate_pms and is_claw_free, each with
-   pykernel's signature and byte-identical results: the same
-   certificates, perms, orbits, automorphism generators in discovery order,
-   and perfect matchings in the same order.  Vertex sets are machine words,
-   so each entry has a width, and raises ValueError beyond it rather than
-   write past an array:
+   It exports canon_auto and enumerate_pms, each with pykernel's signature
+   and byte-identical results: the same certificates, perms, orbits,
+   automorphism generators in discovery order, and perfect matchings in the
+   same order.  Vertex sets are machine words, so each entry has a width,
+   and raises ValueError beyond it rather than write past an array:
 
      canon_auto     n <= 16
      enumerate_pms  n <= 32, m <= 128 edges, every endpoint < n
-     is_claw_free   n <= 64
 
    and every adjacency mask must fit in n bits; canon_auto also refuses a
    vertex listed as its own neighbor, which its packed refinement counts
@@ -28,7 +26,6 @@
 #define CERTLEN 17              /* 1 length byte + ceil(16*15/2 / 8) */
 #define MAX_MATCH_N 32
 #define MAX_EDGES 128
-#define MAX_CLAW_N 64
 
 static inline int popcount64(uint64_t x) { return __builtin_popcountll(x); }
 static inline int ctz64(uint64_t x) { return __builtin_ctzll(x); }
@@ -60,7 +57,7 @@ read_n(const char *fname, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-/* Read n adjacency masks, each of at most n bits (n <= 64), into out. */
+/* Read n adjacency masks, each of at most n bits, into out. */
 static int
 read_adj(PyObject *adj, int n, uint64_t *out)
 {
@@ -81,7 +78,7 @@ read_adj(PyObject *adj, int n, uint64_t *out)
             return -1;
         }
         unsigned long long mask = PyLong_AsUnsignedLongLong(items[v]);
-        if ((mask == (unsigned long long)-1 && PyErr_Occurred()) || (n < 64 && mask >> n)) {
+        if ((mask == (unsigned long long)-1 && PyErr_Occurred()) || mask >> n) {
             /* negative, or wider than 64 bits, or than n bits */
             PyErr_Clear();
             PyErr_Format(PyExc_ValueError,
@@ -544,45 +541,6 @@ enumerate_pms(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 
 /* ------------------------------------------------------------------------
-   claw detection
-   ------------------------------------------------------------------------ */
-
-PyDoc_STRVAR(is_claw_free_doc,
-"is_claw_free($module, n, adj, /)\n--\n\n"
-"True iff no vertex has three pairwise nonadjacent neighbors.  n <= 64, and\n"
-"adj holds n neighbor masks of n bits each.");
-
-static PyObject *
-is_claw_free(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int n;
-    uint64_t cadj[MAX_CLAW_N];
-    if (read_n("is_claw_free", args, nargs, 2, 2, MAX_CLAW_N, &n) < 0 ||
-        read_adj(args[1], n, cadj) < 0)
-        return NULL;
-    for (int v = 0; v < n; v++) {
-        uint64_t rest = cadj[v];
-        if (popcount64(rest) < 3)
-            continue;
-        while (rest) {
-            int a = ctz64(rest);
-            rest &= rest - 1;
-            uint64_t second = rest & ~cadj[a], s2 = second;
-            while (s2) {
-                int b = ctz64(s2);
-                s2 &= s2 - 1;
-                /* a third neighbor after b, adjacent to neither a nor b */
-                uint64_t third = b < 63 ? second & ~cadj[b] & ~((2ULL << b) - 1) : 0;
-                if (third)
-                    Py_RETURN_FALSE;
-            }
-        }
-    }
-    Py_RETURN_TRUE;
-}
-
-
-/* ------------------------------------------------------------------------
    module
    ------------------------------------------------------------------------ */
 
@@ -590,7 +548,6 @@ static PyMethodDef ckernel_methods[] = {
     {"canon_auto", (PyCFunction)(void (*)(void))canon_auto, METH_FASTCALL, canon_auto_doc},
     {"enumerate_pms", (PyCFunction)(void (*)(void))enumerate_pms, METH_FASTCALL,
      enumerate_pms_doc},
-    {"is_claw_free", (PyCFunction)(void (*)(void))is_claw_free, METH_FASTCALL, is_claw_free_doc},
     {NULL, NULL, 0, NULL},
 };
 

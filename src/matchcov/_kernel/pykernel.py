@@ -1,9 +1,9 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
-The compiled kernel (ckernel.c) provides canon_auto, enumerate_pms and
-is_claw_free with byte-identical results, within its widths.  root_colors
-and first_tight_cut exist only here; first_tight_cut has no caller, and
-stays only because the benchmark's layer tracer names it.  There is no
+The compiled kernel (ckernel.c) provides canon_auto and enumerate_pms with
+byte-identical results, within its widths.  root_colors, is_claw_free and
+first_tight_cut exist only here; first_tight_cut has no caller, and stays
+only because the benchmark's layer tracer names it.  There is no
 counting twin: a count is the length of enumerate_pms's list, and the
 dispatch's count_pms, which only the tracer names, is that one line.
 Everything here works on primitive data: a vertex count plus either

@@ -268,6 +268,8 @@ def run_census(cfg):
 
     # read every input before generation, so a bad one fails fast
     ingested = [(path, *ingest_graph6(path)) for path in cfg.inputs]
+    cache_skips = []
+    cache = _load_cache(cfg.cache_path, cache_skips)
     if cfg.max_n:
         # top level first: building it builds and keeps every level below,
         # which the later draws then only filter
@@ -279,8 +281,8 @@ def run_census(cfg):
     for path, graphs, skips in ingested:
         skipped.extend((path, lineno, msg) for lineno, msg in skips)
         feed(path, graphs)
+    skipped.extend(cache_skips)
 
-    cache = _load_cache(cfg.cache_path, skipped)
     records = []
     payloads = []
     for key, (cf, g, path, lineno) in survivors.items():

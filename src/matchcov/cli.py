@@ -126,8 +126,9 @@ def cmd_census(args):
         jobs=args.jobs,
         cache_path=args.cache or "",
     )
-    if args.out:
-        _check_report_path(args.out)
+    for path in (args.out, args.cache):
+        if path:
+            _check_output_path(path)
     summary, records = run_census(cfg)
     if args.out:
         emit_report(summary, records, fmt=args.format, path=args.out)
@@ -152,10 +153,11 @@ def cmd_census(args):
     return EXIT_OK if summary.passed() else EXIT_VERDICT_FAIL
 
 
-def _check_report_path(path):
-    """Raise the OSError that writing the report would, before the census runs.
+def _check_output_path(path):
+    """Raise the OSError that writing the report or the cache at path would,
+    before the census runs.
 
-    The report file itself is neither created nor truncated here.
+    The file itself is neither created nor truncated here.
     """
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):

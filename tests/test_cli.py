@@ -229,6 +229,19 @@ def test_census_checks_the_report_path_before_it_runs(tmp_path, capsys):
     assert code == 2 and str(tmp_path) in err
 
 
+def test_census_checks_the_cache_path_before_it_runs(tmp_path, capsys, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the census ran before its cache path was checked")
+
+    monkeypatch.setattr(cli, "run_census", never)
+    cache = tmp_path / "no-such-dir" / "c.jsonl"
+    code, out, err = run(capsys, "census", "--max-n", "7", "--claw-free",
+                         "--cache", str(cache))
+    assert code == 2
+    assert err.startswith("error: ") and str(cache) in err and err.count("\n") == 1
+    assert "verdict" not in out
+
+
 def test_census_crash_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def crash(g):
         raise RuntimeError("classifier crashed")
@@ -310,6 +323,20 @@ def test_census_rejects_a_poisoned_cache_row(tmp_path, capsys):
     assert code == 2 and "verdict" not in out
     assert err.startswith(f"error: {cache}:{lineno}: cache row contradicts itself: "
                           "b_invariant is 0 but every_b_invariant_solitary is false")
+
+
+def test_census_reads_its_cache_before_generation(tmp_path, capsys, monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("generation ran before a malformed cache row was found")
+
+    monkeypatch.setattr(census, "generate_all_graphs", generate)
+    cache = tmp_path / "bad.jsonl"
+    cache.write_text('{"bad": 1}\n')
+    code, out, err = run(capsys, "census", "--max-n", "8", "--claw-free",
+                         "--cache", str(cache))
+    assert code == 2
+    assert err.startswith(f"error: {cache}:1: a cache row has exactly the fields")
+    assert "verdict" not in out
 
 
 def test_census_skips_a_truncated_last_cache_line(tmp_path, capsys):

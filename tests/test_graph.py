@@ -194,6 +194,20 @@ def test_claw_free_matches_brute_force():
         edges = oracles.random_simple_graph(rng, n, rng.random())
         g = build(n, edges)
         assert is_claw_free(g) == (not oracles.has_claw(n, edges))
+    # 60-70 vertices, wider than one machine word: line graphs, which are
+    # claw-free, and the same graphs with random edges added or dropped
+    verdicts = set()
+    for _ in range(8):
+        base = rng.sample(oracles.random_simple_graph(rng, 13, 1), rng.randrange(60, 71))
+        n = len(base)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if set(base[i]) & set(base[j])]
+        for variant in (edges, edges[::2], edges + oracles.random_simple_graph(rng, n, 0.02)):
+            variant = sorted(set(variant))
+            claw_free = is_claw_free(build(n, variant))
+            assert claw_free == (not oracles.has_claw(n, variant))
+            verdicts.add(claw_free)
+    assert verdicts == {True, False}
 
 
 def test_isomorphism_matches_permutation_search():
