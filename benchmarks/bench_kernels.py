@@ -21,10 +21,11 @@ random graphs on 8 to 14 vertices, built before timing.  Claw detection has
 no compiled twin either, so that line too times the same Python code under
 each backend.
 
-The matching rank that edge classification reads b from runs over the
-perfect matchings of every removable G-e of four random bricks on 10 or 12
-vertices, listed before timing.  The rank has no compiled twin, so its line
-times the same Python code under each backend.
+The matching rank line times what edge classification reads b from on four
+random bricks on 10 or 12 vertices: the GF(2) basis of each brick's perfect
+matchings, then b(G-e) read off it for every removable edge.  The matchings
+and the removable edges are listed before timing.  The rank has no compiled
+twin, so its line times the same Python code under each backend.
 """
 
 import argparse
@@ -32,10 +33,10 @@ import random
 import time
 from matchcov import _kernel
 from matchcov._kernel import pykernel
-from matchcov.edges import _brick_count
+from matchcov.edges import _host_basis, _minus_edge_brick_count, is_removable
 from matchcov.generate import CanonicalAugmenter
-from matchcov.graph import build, delete_edge
-from matchcov.matching import is_brick, is_matching_covered
+from matchcov.graph import build
+from matchcov.matching import is_brick
 
 try:
     from matchcov._kernel import ckernel
@@ -54,19 +55,13 @@ def _random_graphs(seed, count, n_lo, n_hi):
     return out
 
 
-def _brick_edge_deletions(seed, count, n_lo, n_hi):
-    """Every removable G-e of `count` random bricks, its matchings listed."""
-    bricks = []
+def _bricks_with_removable_edges(seed, count, n_lo, n_hi):
+    """(g, removable edges) for `count` random bricks, their matchings listed."""
+    out = []
     for n, edges in _random_graphs(seed, 10 * count, n_lo, n_hi):
         g = build(n, edges)
-        if len(bricks) < count and g.n % 2 == 0 and is_brick(g):
-            bricks.append(g)
-    out = []
-    for g in bricks:
-        for e in range(g.m):
-            rest = delete_edge(g, e)
-            if is_matching_covered(rest):   # lists rest.perfect_matchings
-                out.append(rest)
+        if len(out) < count and g.n % 2 == 0 and is_brick(g):
+            out.append((g, [e for e in range(g.m) if is_removable(g, e)]))
     return out
 
 
@@ -134,9 +129,11 @@ def bench_claw(mod, graphs):
         pykernel.is_claw_free(n, adj)
 
 
-def bench_rank(mod, graphs):
-    for g in graphs:
-        _brick_count(g)
+def bench_rank(mod, bricks):
+    for g, removable in bricks:
+        host = _host_basis(g)
+        for e in removable:
+            _minus_edge_brick_count(g, e, host)
 
 
 def run(label, fn, mod, graphs, repeat):
@@ -164,7 +161,7 @@ def main():
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
         ("claw detection", bench_claw,
          [(n, _adj(n, edges)) for n, edges in _random_graphs(3, 2000, 8, 14)]),
-        ("matching rank", bench_rank, _brick_edge_deletions(4, 4, 10, 12)),
+        ("matching rank", bench_rank, _bricks_with_removable_edges(4, 4, 10, 12)),
     ]
 
     results = {}

@@ -6,12 +6,15 @@ as not-b-invariant.
 
 Every verdict comes from _edge_class, which works from the host's perfect
 matchings (Graph.perfect_matchings): the matchings of G-e are the host's
-matchings that avoid e, which _minus_edge hands to G-e as its own list, and
-the matchings that contain e give the solitary count.  G-e is matching
-covered iff its matchings cover its edges: a matching covered host is
-2-connected (or has 2 vertices), so G-e stays connected.  The list and b(G)
-are computed once per host, so each edge costs one rank per G-e (removable
-edges only) and no further matching search of G-e.
+matchings that avoid e, and the matchings that contain e give the solitary
+count.  G-e is matching covered iff its matchings cover its edges: a
+matching covered host is 2-connected (or has 2 vertices), so G-e stays
+connected.  The list, b(G) and one GF(2) basis of the host's matchings
+(_host_basis) are computed once per host; each removable edge then reads
+b(G-e) off that basis (_minus_edge_brick_count), and only the edges that
+GF(2) cannot settle build G-e, with its list cut from the host's
+(_minus_edge), for an exact rational rank.  No edge costs a matching search
+of G-e.
 
 b comes from the matching rank, not from a tight-cut decomposition: for a
 matching covered G, b(G) = m - n + 2 - rank_Q(M), where the rows of M are the
@@ -68,19 +71,20 @@ def classify_edge(g, e):
     """EdgeClass of edge e; G must be matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    return _edge_class(g, e, _host_brick_count(g))
+    return _edge_class(g, e, _host_basis(g))
 
 
-def _edge_class(g, e, b_of_g):
-    """Classify edge e of g from g's perfect matchings and b(G)."""
-    rest = _minus_edge(g, e)
-    avoiding = rest.perfect_matchings
-    capped = min(len(g.perfect_matchings) - len(avoiding), 2)
-    covered = 0
+def _edge_class(g, e, host):
+    """Classify edge e of g from g's perfect matchings and its _host_basis."""
+    pms = g.perfect_matchings
+    bit = 1 << e
+    avoiding = [p for p in pms if not p & bit]
+    capped = min(len(pms) - len(avoiding), 2)
+    covered = bit                      # G-e has no edge e to cover
     for p in avoiding:
         covered |= p
-    removable = rest.m > 0 and covered == (1 << rest.m) - 1
-    b_inv = _brick_count(rest) == b_of_g if removable else None
+    removable = g.m > 1 and covered == (1 << g.m) - 1
+    b_inv = _minus_edge_brick_count(g, e, host) == host[0] if removable else None
     return EdgeClass(e, removable, b_inv, capped == 1, capped)
 
 
@@ -96,39 +100,92 @@ def _minus_edge(g, e):
     return rest
 
 
-def _host_brick_count(g):
-    """b(G) of the host, which must be matching covered."""
+def _host_basis(g):
+    """(b, pivots, coords) of a host G, which must be matching covered.
+
+    b is b(G).  pivots are host perfect matchings, independent over GF(2),
+    that span all of them, and coords[i] is the set of pivots (a bitmask over
+    their indices) whose XOR is g.perfect_matchings[i].  The rows are reduced
+    against an XOR basis keyed by highest bit, and each basis row carries the
+    set of pivots it is the XOR of.
+
+    A bipartite G has b = 0 and gets no basis: no G-e needs one.  Otherwise
+    b >= 1, so rank_Q <= m - n + 1, and rank over GF(2) is at most rank_Q:
+    m - n + 1 pivots certify b = 1.  Anything short of that takes the exact
+    rational rank.
+    """
     if not is_matching_covered(g):
         raise PreconditionError("edge classification requires a matching covered graph")
-    return _brick_count(g)
-
-
-def _brick_count(g):
-    """b(G) of a matching covered G from the rank of its perfect matchings.
-
-    A bipartite G has b = 0.  Otherwise b >= 1, so rank_Q <= m - n + 1, and
-    rank over GF(2) is at most rank_Q: an XOR basis (rows as bitmasks, keyed
-    by their highest bit) that reaches m - n + 1 certifies b = 1.  Anything
-    short of that takes the exact rational rank.
-    """
     if is_bipartite(g):
-        return 0
-    full = g.m - g.n + 1
+        return 0, (), ()
     pms = g.perfect_matchings
-    basis = [0] * g.m
-    rank = 0
-    for row in pms:
+    rows, spans = [0] * g.m, [0] * g.m      # basis row and its pivot set, by top bit
+    pivots, coords = [], []
+    for p in pms:
+        row, coord = p, 0
         while row:
             top = row.bit_length() - 1
-            known = basis[top]
+            known = rows[top]
             if not known:
-                basis[top] = row
-                rank += 1
-                if rank == full:
-                    return 1
+                new = 1 << len(pivots)
+                rows[top], spans[top] = row, coord ^ new
+                coord = new
+                pivots.append(p)
                 break
             row ^= known
-    return full + 1 - _rational_rank(pms, g.m, full)
+            coord ^= spans[top]
+        coords.append(coord)
+    full = g.m - g.n + 1
+    b = 1 if len(pivots) == full else full + 1 - _rational_rank(pms, g.m, full)
+    return b, pivots, coords
+
+
+def _minus_edge_brick_count(g, e, host):
+    """b(G-e) for a removable edge e of g, from g's _host_basis.
+
+    A bipartite G leaves G-e bipartite, with b = 0.  A nonbipartite G leaves
+    G-e nonbipartite: if G-e had parts A and B, its perfect matchings would
+    make |A| = |B|, and e would join two vertices of one part, so no perfect
+    matching of G would contain e, and G would not be matching covered.  So
+    b(G-e) >= 1 and rank_Q(G-e) <= (m - 1) - n + 1 = m - n.
+
+    The matchings of G-e are the host's matchings that avoid e.  Let C be the
+    pivots that contain e.  The other pivots are independent matchings of
+    G-e, so rank_GF(2)(G-e) is their number plus the rank of coords & C over
+    the matchings that avoid e.  Those have even weight in C, so that rank is
+    at most |C| - 1, and only a full host basis can bring G-e to m - n; with
+    |C| = 1 it is there at once.  Reaching m - n certifies b(G-e) = 1;
+    anything short of it takes the exact rational rank of G-e's list.
+    """
+    b, pivots, coords = host
+    if not b:
+        return 0
+    if len(pivots) == g.m - g.n + 1:
+        bit = 1 << e
+        through = 0
+        for i, q in enumerate(pivots):
+            if q & bit:
+                through |= 1 << i
+        need = through.bit_count() - 1     # rank still short of m - n
+        if not need:
+            return 1
+        rows = [0] * len(pivots)
+        for p, coord in zip(g.perfect_matchings, coords):
+            if p & bit:
+                continue
+            row = coord & through
+            while row:
+                top = row.bit_length() - 1
+                known = rows[top]
+                if not known:
+                    rows[top] = row
+                    need -= 1
+                    if not need:
+                        return 1
+                    break
+                row ^= known
+    rest = _minus_edge(g, e)
+    return g.m - g.n + 1 - _rational_rank(rest.perfect_matchings, rest.m, g.m - g.n)
 
 
 def _rational_rank(rows, width, stop):
@@ -162,8 +219,8 @@ def _rational_rank(rows, width, stop):
 
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
-    b_of_g = _host_brick_count(g)
-    classes = tuple(_edge_class(g, e, b_of_g) for e in range(g.m))
+    host = _host_basis(g)
+    classes = tuple(_edge_class(g, e, host) for e in range(g.m))
     return EdgeClassReport(
         classes=classes,
         removable=sum(1 for c in classes if c.removable),

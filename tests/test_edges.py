@@ -8,11 +8,13 @@ import pytest
 import matchcov._kernel
 from matchcov import edges, matching, tightcut
 from matchcov.catalog import FAMILY_G, catalog, names
-from matchcov.edges import (_brick_count, _rational_rank, classify_all, classify_edge,
+from matchcov.edges import (_host_basis, _rational_rank, classify_all, classify_edge,
                             every_b_invariant_solitary, is_b_invariant, is_removable,
                             is_solitary, triangle_nonremovable_edges)
 from matchcov.errors import PreconditionError
-from matchcov.graph import build, contract, delete_edge, is_bipartite, to_graph6
+from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.graph import (build, contract, delete_edge, is_bipartite, is_claw_free,
+                            to_graph6)
 from matchcov.matching import is_brick, is_matching_covered
 from matchcov.tightcut import decompose
 
@@ -266,10 +268,10 @@ def test_odd_prisms_match_a_decompose_reference():
 
 
 def _assert_rank_gives_b(g):
-    """_brick_count(g) is the oracle's b, and the rational rank of g's
+    """_host_basis(g) gives the oracle's b, and the rational rank of g's
     perfect matchings is m - n + 2 - b (Edmonds, Lovasz, Pulleyblank)."""
     b = oracles.nx_b_count(oracles.to_nx(g))
-    assert _brick_count(g) == b, to_graph6(g)
+    assert _host_basis(g)[0] == b, to_graph6(g)
     assert _rational_rank(g.perfect_matchings, g.m, g.m) == g.m - g.n + 2 - b
     return b
 
@@ -314,8 +316,8 @@ def test_rank_matches_oracle_on_bipartite_graphs():
 
 def test_petersen_needs_the_rational_rank(monkeypatch):
     """Each Petersen edge lies in exactly two of its six perfect matchings, so
-    their sum is 0 over GF(2) and the XOR basis stops at 5; the rational rank
-    is 6 = m - n + 1, which gives b = 1."""
+    their sum is 0 over GF(2) and the host basis stops at 5 pivots; the
+    rational rank is 6 = m - n + 1, which gives b = 1."""
     g = catalog("PETERSEN")
     pms = g.perfect_matchings
     assert len(pms) == 6
@@ -327,8 +329,99 @@ def test_petersen_needs_the_rational_rank(monkeypatch):
         return ranks[-1]
 
     monkeypatch.setattr(edges, "_rational_rank", recording)
-    assert _brick_count(g) == 1
+    b, pivots, coords = _host_basis(g)
+    assert (b, len(pivots)) == (1, 5)
     assert ranks == [6]
+    for p, coord in zip(pms, coords):
+        xor = 0
+        for i, q in enumerate(pivots):
+            if coord >> i & 1:
+                xor ^= q
+        assert xor == p
+
+
+def test_rational_rank_runs_only_where_gf2_falls_short(monkeypatch):
+    """Classifying the catalog bricks runs the rational rank for Petersen's
+    host, whose basis stops at 5 of 6 pivots, and for every removable edge
+    of it, and for each edge of W6_PLUSPLUS and F3 that leaves b(G-e) = 2;
+    the host basis certifies b(G-e) = 1 for every other removable edge."""
+    calls = {}
+    name = None
+
+    def counting(rows, width, stop):
+        calls[name] = calls.get(name, 0) + 1
+        return _rational_rank(rows, width, stop)
+
+    monkeypatch.setattr(edges, "_rational_rank", counting)
+    removable = 0
+    for name in names():
+        g = catalog(name)
+        if is_brick(g):
+            removable += classify_all(g).removable
+    assert calls == {"PETERSEN": 16, "W6_PLUSPLUS": 1, "F3": 2}
+    assert removable == 59
+
+
+def test_minus_edge_of_a_nonbipartite_host_is_never_bipartite():
+    """A removable e of a nonbipartite matching covered G leaves G-e
+    nonbipartite, so b(G-e) >= 1 and the rank bound of
+    _minus_edge_brick_count holds; checked on the catalog graphs and on
+    contracted multigraphs."""
+    graphs = [g for g in map(catalog, names()) if is_matching_covered(g)]
+    graphs += _covered_graphs(random.Random(439), 15, True)
+    checked = 0
+    for g in graphs:
+        if is_bipartite(g):
+            continue
+        for e in range(g.m):
+            if is_removable(g, e):
+                checked += 1
+                assert not is_bipartite(delete_edge(g, e)), (to_graph6(g), e)
+    assert checked > 100
+
+
+def _rational_b(g):
+    """b of a matching covered, nonbipartite g from the uncapped rational
+    rank of its whole perfect-matching list."""
+    return g.m - g.n + 2 - _rational_rank(g.perfect_matchings, g.m, g.m)
+
+
+def _reference_bricks():
+    """The claw-free bricks to 8 vertices and three random bricks each on 10
+    and 12 vertices."""
+    aug = CanonicalAugmenter()
+    bricks = [g for n in (8, 6, 4) for g in generate_all_graphs(n, 3, True, aug)
+              if is_claw_free(g) and is_brick(g)]
+    rng = random.Random(449)
+    for n in (10, 10, 10, 12, 12, 12):
+        while True:
+            g = build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.3, 0.45)))
+            if is_brick(g):
+                bricks.append(g)
+                break
+    return bricks
+
+
+def test_b_invariance_matches_the_rational_rank_of_each_minus_edge():
+    """Every b_invariant flag of the claw-free bricks to 8 vertices and of
+    random bricks on 10 and 12 vertices agrees with b(G-e) from the rational rank of
+    G-e's own list, enumerated afresh; on a slice, that b agrees with the
+    networkx oracle."""
+    bricks = _reference_bricks()
+    assert len(bricks) == 373 + 6
+    seen = set()
+    for i, g in enumerate(bricks):
+        b = _rational_b(g)
+        for c in classify_all(g).classes:
+            if not c.removable:
+                continue
+            rest = delete_edge(g, c.edge)
+            b_rest = _rational_b(rest)
+            seen.add(b_rest)
+            assert c.b_invariant == (b_rest == b), (to_graph6(g), c.edge)
+            if i % 60 == 0:
+                assert b_rest == oracles.nx_b_count(oracles.to_nx(rest))
+    assert seen == {1, 2, 3}
 
 
 def test_classify_requires_matching_covered():

@@ -10,7 +10,7 @@ from matchcov import tightcut
 from matchcov._kernel import pykernel
 from matchcov.catalog import catalog, names
 from matchcov.errors import PreconditionError
-from matchcov.edges import _brick_count
+from matchcov.edges import _host_basis
 from matchcov.graph import (build, canonical_form, contract, delete_edge, is_bipartite,
                             is_isomorphic, is_three_connected, parse_graph6,
                             to_graph6, underlying_simple)
@@ -285,7 +285,7 @@ def test_decompose_beyond_twenty_vertices_matches_the_rank():
         if not is_matching_covered(g):
             continue
         checked += 1
-        assert decompose(g).b == _brick_count(g), (n, g.edges)
+        assert decompose(g).b == _host_basis(g)[0], (n, g.edges)
         cut = find_nontrivial_tight_cut(g)
         if cut is not None:
             cuts += 1
