@@ -13,13 +13,16 @@ len(enumerate_pms(...)) with no caller; both stay only because the
 benchmark's layer tracer names them.
 
 root_colors, the coloring canon_auto's search starts from, lets generation
-reject a child before labeling it (see generate.py).  It has no compiled
-twin, and a Python refinement costs about five C labelings (the root
-refinement and generation labeling lines of benchmarks/bench_kernels.py, on
-the children of the census's generation to n=8, one 2-vCPU virtual machine:
-16-19 us per root refinement against 3-5 us per C canon_auto), so under the
-compiled kernel it returns None and generation labels every child that the
-max-degree pretest passes.
+reject a child before labeling it, and accept a top-level child unlabeled
+when its new vertex is alone in the last root cell (see generate.py).  It
+has no compiled twin, and a Python refinement costs about five C labelings
+(the root refinement and generation labeling lines of
+benchmarks/bench_kernels.py, on the children of the census's generation to
+n=8, one 2-vCPU virtual machine: 16-19 us per root refinement against
+3-5 us per C canon_auto), so under the compiled kernel it returns None and
+generation labels every child that the max-degree pretest passes.  A C twin
+would save both: the labelings of rejected children, and those of the
+top-level children the census never keys.
 """
 
 import os

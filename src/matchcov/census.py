@@ -13,8 +13,8 @@ verdicts are supported:
          at least two b-invariant edges.
 
 Each surviving graph is canonically labeled once: a generated graph by
-generation, which hands that labeling on with the graph, and an input graph
-in the funnel.  Its canonical graph6 keys its record, the cache and the
+generation, which hands that labeling on with the graph, and an input graph,
+or a top-level graph generation accepted unlabeled, in the funnel.  Its canonical graph6 keys its record, the cache and the
 report order, so reports are byte-stable across runs and worker counts.  The
 row schema lives in CensusRecord alone: classification returns one, a cache
 hit becomes one, and the report lines and cache lines are written from its

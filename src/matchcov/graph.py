@@ -38,13 +38,21 @@ class Graph:
         return tuple(masks)
 
     @cached_property
+    def root_colors(self):
+        """The simple view's root coloring, where canonical labeling starts
+        (_kernel.root_colors; None under the compiled kernel)."""
+        return _kernel.root_colors(self.n, self.adj)
+
+    @cached_property
     def canonical_perm(self):
         """The simple view's canonical labeling: vertex at each position.
 
-        Generation fills it in for the graphs it yields, because it has
-        labeled exactly this adjacency already.
+        Generation fills it in for the graphs it labels, because it has
+        labeled exactly this adjacency already.  A top-level graph it
+        accepts unlabeled carries its root colors instead, so labeling it
+        here skips the root refinement.
         """
-        return _kernel.canon_auto(self.n, self.adj)[1]
+        return _kernel.canon_auto(self.n, self.adj, self.root_colors)[1]
 
     @cached_property
     def perfect_matchings(self):
@@ -149,32 +157,35 @@ def parse_graph6(text):
     return Graph(n, tuple(edges))
 
 
-def to_graph6(g):
-    """Encode a simple graph with n <= 62 as a graph6 line."""
-    if not g.is_simple():
-        raise Graph6Error("multigraph not representable in graph6")
-    if g.n > 62:
-        raise CapacityError(f"graph6 short format supports n <= 62, got {g.n}")
-    nbits = g.n * (g.n - 1) // 2
+def _graph6(n, adj, order):
+    """graph6 line of the simple graph with neighbor bitmasks adj, vertex
+    order[i] written as vertex i."""
+    if n > 62:
+        raise CapacityError(f"graph6 short format supports n <= 62, got {n}")
+    nbits = n * (n - 1) // 2
     bits = 0
-    adj = g.adj
-    for j in range(1, g.n):
+    for j in range(1, n):
+        row = adj[order[j]]
         for i in range(j):
-            bits = (bits << 1) | (adj[i] >> j & 1)
+            bits = (bits << 1) | (row >> order[i] & 1)
     need = (nbits + 5) // 6
     bits <<= 6 * need - nbits
-    out = [g.n + 63]
+    out = [n + 63]
     for k in range(need - 1, -1, -1):
         out.append(((bits >> (6 * k)) & 63) + 63)
     return bytes(out).decode("ascii")
 
 
+def to_graph6(g):
+    """Encode a simple graph with n <= 62 as a graph6 line."""
+    if not g.is_simple():
+        raise Graph6Error("multigraph not representable in graph6")
+    return _graph6(g.n, g.adj, range(g.n))
+
+
 def canonical_graph6(g):
     """graph6 of the canonically relabeled simple view (census cache key)."""
-    pos = [0] * g.n
-    for i, v in enumerate(g.canonical_perm):
-        pos[v] = i
-    return to_graph6(_relabeled(underlying_simple(g), pos, g.n))
+    return _graph6(g.n, g.adj, g.canonical_perm)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from matchcov.census import (CensusConfig, CensusRecord, emit_report,
 from matchcov.errors import CapacityError, MatchcovError
 from matchcov.generate import CanonicalAugmenter, generate_all_graphs
 from matchcov.graph import Graph, canonical_graph6, parse_graph6
+from matchcov.matching import is_brick
 
 # the fifth claw-free brick with the all-b-invariant-edges-solitary property:
 # K6 minus the four edges 0-1, 0-2, 1-3, 4-5 (see README "A genuine finding");
@@ -256,19 +257,29 @@ def test_each_brick_is_labeled_once(tmp_path, labeled):
 
 
 def test_generated_survivors_are_labeled_only_in_generation(labeled):
-    """A generated census labels nothing but generation's children and the
+    """A generated census labels nothing but generation's children, the
+    top-level bricks generation accepted unlabeled, each once, and the
     catalog graphs its verdicts exclude or expect."""
     aug = CanonicalAugmenter()
-    for n in range(6, 0, -1):      # the census's draw order
-        list(generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug))
+    drawn = [g for n in range(6, 0, -1)      # the census's draw order
+             for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug)]
     generated = Counter(labeled)
     labeled.clear()
     run_census(CensusConfig(max_n=6, checks=("main", "thm11")))
     extra = Counter(labeled) - generated
     assert not generated - Counter(labeled)
+    unlabeled = Counter((g.n, g.adj) for g in drawn
+                        if "canonical_perm" not in vars(g) and g.n % 2 == 0 and is_brick(g))
+    # the compiled kernel gives no root colors, so generation labels them all
+    assert bool(unlabeled) == (matchcov._kernel._impl is matchcov._kernel._py)
+    assert all(g.n == 6 for g in drawn if "canonical_perm" not in vars(g))
+    assert extra & unlabeled == unlabeled
     keys = ("K4", "C6BAR", "R8", "PETERSEN") + FAMILY_G
-    assert set(extra) <= {(catalog(name).n, catalog(name).adj) for name in keys}
-    assert sum(extra.values()) <= len(keys) + 2    # K4 and C6BAR serve both checks
+    catalog_adj = {(catalog(name).n, catalog(name).adj) for name in keys}
+    assert not catalog_adj & set(unlabeled)
+    rest = extra - unlabeled
+    assert set(rest) <= catalog_adj
+    assert sum(rest.values()) <= len(keys) + 2    # K4 and C6BAR serve both checks
 
 
 def test_generated_census_augments_each_level_once(labeled):
@@ -286,12 +297,17 @@ def test_generated_census_augments_each_level_once(labeled):
 
 
 def test_generated_graphs_carry_their_census_key():
-    """The labeling generation hands on gives the key a fresh labeling gives."""
+    """Every generated graph carries the labeling generation hands on, or,
+    when generation accepted it unlabeled, its root colors; either gives
+    the key a fresh labeling gives."""
     aug = CanonicalAugmenter()
     for n in range(1, 9):
         for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug):
-            assert "canonical_perm" in vars(g)
             fresh = Graph(g.n, g.edges)
+            if "canonical_perm" in vars(g):
+                assert g.canonical_perm == fresh.canonical_perm
+            else:
+                assert vars(g)["root_colors"] == fresh.root_colors
             assert canonical_graph6(g) == canonical_graph6(fresh)
 
 

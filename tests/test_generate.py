@@ -7,7 +7,7 @@ import pytest
 from matchcov import _kernel
 from matchcov._kernel import pykernel
 from matchcov.errors import CapacityError
-from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.generate import CanonicalAugmenter, _adj_to_graph, generate_all_graphs
 from matchcov.graph import canonical_form, is_connected
 
 import oracles
@@ -32,7 +32,9 @@ def test_counts_match_burnside_oracle():
 def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch):
     """Generation labels a child only when its new vertex lies in the last
     cell of the root coloring, which holds only vertices of maximum degree,
-    and hands canon_auto those root colors."""
+    and hands canon_auto those root colors.  On the top level it accepts a
+    child unlabeled when its new vertex is alone in that cell, and so last
+    in canonical order."""
     monkeypatch.setattr(_kernel, "_impl", _kernel._py)  # the pretest is Python's
     real = _kernel.canon_auto
     labeled = []
@@ -51,7 +53,17 @@ def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch
     aug = CanonicalAugmenter()
     assert sum(1 for n in range(8, 0, -1) for _ in generate_all_graphs(
         n, min_degree=3, connected=True, augmenter=aug)) == 2762
-    assert len(labeled) == 3297 and 8 in labeled
+    assert len(labeled) == 1470 and labeled.count(8) == 785
+    # the top level again, without the connectivity filter: of the 2,612
+    # children in the last root cell, 785 labeled and 1,827 accepted unlabeled
+    labeled.clear()
+    unlabeled = [(adj, colors) for adj, perm, colors in aug.final_level(8, min_degree=3)
+                 if perm is None]
+    assert len(labeled) == 785 and len(unlabeled) == 1827
+    for adj, colors in unlabeled:
+        assert colors == pykernel.root_colors(8, adj)
+        assert colors.count(colors[7]) == 1 and colors[7] == max(colors)
+        assert _adj_to_graph(adj, None, colors).canonical_perm[-1] == 7
 
 
 def test_no_duplicate_classes_up_to_6():
@@ -78,9 +90,17 @@ def test_min_degree_connected_filter():
             canonical_form(g) for g in full if g.min_degree() >= 3 and is_connected(g))
 
 
+def _perms(level):
+    """(adjacency, canonical perm) of each class of final_level's output,
+    labeling a class accepted unlabeled from its root colors."""
+    return [(adj, perm if perm is not None else _adj_to_graph(adj, perm, colors).canonical_perm)
+            for adj, perm, colors in level]
+
+
 def test_a_kept_level_filters_to_its_pushed_down_build():
     """Filtering a kept whole level gives exactly the level that pushing
-    min_degree down builds: the same pairs in the same order."""
+    min_degree down builds: the same adjacencies in the same order, with
+    the same canonical perms once those accepted unlabeled are labeled."""
     whole = CanonicalAugmenter()
     whole.classes(7)
     for min_degree, connected in ((3, True), (0, True), (3, False), (2, False), (1, True)):
@@ -88,8 +108,8 @@ def test_a_kept_level_filters_to_its_pushed_down_build():
         # floors than the last one kept them, and builds them again
         pushed = CanonicalAugmenter()
         for n in range(1, 8):
-            assert pushed.final_level(n, min_degree, connected) == whole.final_level(
-                n, min_degree, connected)
+            assert _perms(pushed.final_level(n, min_degree, connected)) == _perms(
+                whole.final_level(n, min_degree, connected))
 
 
 def test_a_top_down_draw_builds_each_level_to_its_floor():
