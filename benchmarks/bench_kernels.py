@@ -3,30 +3,27 @@
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times the kernel entries the census runs, on identical workloads: canonical
-labeling over a random graph batch, perfect matching enumeration (what edge
-classification lists) and claw detection.  Both backends are imported
-directly, bypassing the MATCHCOV_KERNEL selection.
+labeling over a random graph batch and perfect matching enumeration (what edge
+classification lists), under each backend, with the py / c speedup of each.
+Both backends are imported directly, bypassing the MATCHCOV_KERNEL selection.
+Root refinement, claw detection and the matching rank have no compiled twin:
+their lines time the Python code once, with no speedup.
 
 The generation labeling line times canon_auto over the 1,470 children that
 generation labels under the Python kernel on the way to n=8, as the census
 draws the levels, collected once before timing.  The top level's children
 whose new vertex is alone in the last root cell are accepted unlabeled, so
 they are not among them.  The Python kernel gets each child's root colors,
-as generation hands them over; the compiled one gets the adjacency only.  The root refinement line times root_colors over the
-children that generation refines on that way, before it decides which to
-label.  root_colors has no compiled twin, so that line times the same
-Python code under each backend.
+as generation hands them over; the compiled one gets the adjacency only.
 
-The claw detection line times is_claw_free over the adjacencies of 2,000
-random graphs on 8 to 14 vertices, built before timing.  Claw detection has
-no compiled twin either, so that line too times the same Python code under
-each backend.
-
-The matching rank line times what edge classification reads b from on four
-random bricks on 10 or 12 vertices: the GF(2) basis of each brick's perfect
-matchings, then b(G-e) read off it for every removable edge.  The matchings
-and the removable edges are listed before timing.  The rank has no compiled
-twin, so its line times the same Python code under each backend.
+The root refinement line times root_colors over the children that generation
+refines on that way, before it decides which to label.  The claw detection
+line times is_claw_free over the adjacencies of 2,000 random graphs on 8 to
+14 vertices, built before timing.  The matching rank line times what edge
+classification reads b from on four random bricks on 10 or 12 vertices: the
+GF(2) basis of each brick's perfect matchings, then b(G-e) read off it for
+every removable edge.  The matchings and the removable edges (from
+classify_all) are listed before timing.
 """
 
 import argparse
@@ -34,7 +31,7 @@ import random
 import time
 from matchcov import _kernel
 from matchcov._kernel import pykernel
-from matchcov.edges import _host_basis, _minus_edge_brick_count, is_removable
+from matchcov.edges import _host_basis, _minus_edge_brick_count, classify_all
 from matchcov.generate import CanonicalAugmenter
 from matchcov.graph import build
 from matchcov.matching import is_brick
@@ -62,7 +59,7 @@ def _bricks_with_removable_edges(seed, count, n_lo, n_hi):
     for n, edges in _random_graphs(seed, 10 * count, n_lo, n_hi):
         g = build(n, edges)
         if len(out) < count and g.n % 2 == 0 and is_brick(g):
-            out.append((g, [e for e in range(g.m) if is_removable(g, e)]))
+            out.append((g, [c.edge for c in classify_all(g).classes if c.removable]))
     return out
 
 
@@ -115,7 +112,7 @@ def bench_gen_canon(mod, children):
             mod.canon_auto(n, adj)
 
 
-def bench_root(mod, children):
+def bench_root(children):
     for n, adj in children:
         pykernel.root_colors(n, adj)
 
@@ -127,27 +124,27 @@ def bench_pms(mod, graphs):
         mod.enumerate_pms(n, eu, ev)
 
 
-def bench_claw(mod, graphs):
+def bench_claw(graphs):
     for n, adj in graphs:
         pykernel.is_claw_free(n, adj)
 
 
-def bench_rank(mod, bricks):
+def bench_rank(bricks):
     for g, removable in bricks:
         host = _host_basis(g)
         for e in removable:
             _minus_edge_brick_count(g, e, host)
 
 
-def run(label, fn, mod, graphs, repeat):
-    best = min(_timed(fn, mod, graphs) for _ in range(repeat))
+def run(label, fn, repeat):
+    best = min(_timed(fn) for _ in range(repeat))
     print(f"  {label:<22} {best * 1000:9.1f} ms")
     return best
 
 
-def _timed(fn, mod, graphs):
+def _timed(fn):
     t0 = time.perf_counter()
-    fn(mod, graphs)
+    fn()
     return time.perf_counter() - t0
 
 
@@ -157,11 +154,13 @@ def main():
     args = parser.parse_args()
 
     refined, labeled = _generation_children(8)
-    workloads = [
+    twins = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
         ("generation labeling", bench_gen_canon, labeled),
-        ("root refinement", bench_root, refined),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
+    ]
+    python_only = [
+        ("root refinement", bench_root, refined),
         ("claw detection", bench_claw,
          [(n, _adj(n, edges)) for n, edges in _random_graphs(3, 2000, 8, 14)]),
         ("matching rank", bench_rank, _bricks_with_removable_edges(4, 4, 10, 12)),
@@ -173,12 +172,16 @@ def main():
             print("compiled kernel unavailable; skipping the c backend")
             continue
         print(f"backend {name}:")
-        for label, fn, graphs in workloads:
-            results[(name, label)] = run(label, fn, mod, graphs, args.repeat)
+        for label, fn, graphs in twins:
+            results[(name, label)] = run(label, lambda: fn(mod, graphs), args.repeat)
+
+    print("python only:")
+    for label, fn, graphs in python_only:
+        run(label, lambda: fn(graphs), args.repeat)
 
     if ckernel is not None:
         print("speedup (py / c):")
-        for label, _, _ in workloads:
+        for label, _, _ in twins:
             ratio = results[("py", label)] / results[("c", label)]
             print(f"  {label:<22} {ratio:6.1f}x")
 

@@ -4,17 +4,22 @@ b-invariance is only defined for removable edges, so EdgeClass.b_invariant is
 None (not False) on nonremovable edges; every_b_invariant_solitary treats None
 as not-b-invariant.
 
-Every verdict comes from _edge_class, which works from the host's perfect
-matchings (Graph.perfect_matchings): the matchings of G-e are the host's
-matchings that avoid e, and the matchings that contain e give the solitary
-count.  G-e is matching covered iff its matchings cover its edges: a
-matching covered host is 2-connected (or has 2 vertices), so G-e stays
-connected.  The list, b(G) and one GF(2) basis of the host's matchings
+classify_all answers every edge from one pass over the host's perfect
+matchings (Graph.perfect_matchings).  For each edge f it counts the matchings
+through f, which gives the solitary count, and ANDs them into within[f], the
+edges that all of them contain: f depends on each edge of within[f] (Carvalho,
+Lucchesi and Murty, "Ear decompositions of matching covered graphs",
+Combinatorica 1999).  The matchings of G-e are the host's matchings that avoid
+e, so G-e covers its edges iff no edge other than e depends on e; that is
+removability, as a matching covered host is 2-connected (or has 2 vertices), so
+G-e stays connected.  b(G) and one GF(2) basis of the host's matchings
 (_host_basis) are computed once per host; each removable edge then reads
-b(G-e) off that basis (_minus_edge_brick_count), and only the edges that
-GF(2) cannot settle build G-e, with its list cut from the host's
-(_minus_edge), for an exact rational rank.  No edge costs a matching search
-of G-e.
+b(G-e) off that basis (_minus_edge_brick_count), and only the edges that GF(2)
+cannot settle take an exact rational rank of the host's matchings that avoid
+e.  No G-e is built, and no edge costs a matching search of G-e.
+
+is_removable is the definition itself, G-e matching covered, with G-e's
+matchings listed afresh: it holds on any host and cross-checks classify_all.
 
 b comes from the matching rank, not from a tight-cut decomposition: for a
 matching covered G, b(G) = m - n + 2 - rank_Q(M), where the rows of M are the
@@ -54,7 +59,7 @@ def is_removable(g, e):
     """G minus e is still matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    return is_matching_covered(_minus_edge(g, e))
+    return is_matching_covered(delete_edge(g, e))
 
 
 def is_b_invariant(g, e):
@@ -71,33 +76,7 @@ def classify_edge(g, e):
     """EdgeClass of edge e; G must be matching covered."""
     if not 0 <= e < g.m:
         raise PreconditionError(f"edge index {e} out of range")
-    return _edge_class(g, e, _host_basis(g))
-
-
-def _edge_class(g, e, host):
-    """Classify edge e of g from g's perfect matchings and its _host_basis."""
-    pms = g.perfect_matchings
-    bit = 1 << e
-    avoiding = [p for p in pms if not p & bit]
-    capped = min(len(pms) - len(avoiding), 2)
-    covered = bit                      # G-e has no edge e to cover
-    for p in avoiding:
-        covered |= p
-    removable = g.m > 1 and covered == (1 << g.m) - 1
-    b_inv = _minus_edge_brick_count(g, e, host) == host[0] if removable else None
-    return EdgeClass(e, removable, b_inv, capped == 1, capped)
-
-
-def _minus_edge(g, e):
-    """G-e, with its perfect matchings cut from g's list: the ones that avoid
-    e, with bit e dropped and the higher bits shifted down to delete_edge's
-    edge indices."""
-    bit = 1 << e
-    low = bit - 1
-    rest = delete_edge(g, e)
-    rest.__dict__["perfect_matchings"] = tuple(   # fill the cached property
-        p & low | p >> 1 & ~low for p in g.perfect_matchings if not p & bit)
-    return rest
+    return classify_all(g).classes[e]
 
 
 def _host_basis(g):
@@ -155,13 +134,13 @@ def _minus_edge_brick_count(g, e, host):
     the matchings that avoid e.  Those have even weight in C, so that rank is
     at most |C| - 1, and only a full host basis can bring G-e to m - n; with
     |C| = 1 it is there at once.  Reaching m - n certifies b(G-e) = 1;
-    anything short of it takes the exact rational rank of G-e's list.
+    anything short of it takes the exact rational rank of those matchings.
     """
     b, pivots, coords = host
     if not b:
         return 0
+    bit = 1 << e
     if len(pivots) == g.m - g.n + 1:
-        bit = 1 << e
         through = 0
         for i, q in enumerate(pivots):
             if q & bit:
@@ -184,8 +163,8 @@ def _minus_edge_brick_count(g, e, host):
                         return 1
                     break
                 row ^= known
-    rest = _minus_edge(g, e)
-    return g.m - g.n + 1 - _rational_rank(rest.perfect_matchings, rest.m, g.m - g.n)
+    rows = [p for p in g.perfect_matchings if not p & bit]   # column e is zero
+    return g.m - g.n + 1 - _rational_rank(rows, g.m, g.m - g.n)
 
 
 def _rational_rank(rows, width, stop):
@@ -220,9 +199,24 @@ def _rational_rank(rows, width, stop):
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
     host = _host_basis(g)
-    classes = tuple(_edge_class(g, e, host) for e in range(g.m))
+    count, within = [0] * g.m, [-1] * g.m     # -1: every edge, before any AND
+    for p in g.perfect_matchings:
+        rest = p
+        while rest:
+            f = (rest & -rest).bit_length() - 1
+            count[f] += 1
+            within[f] &= p
+            rest &= rest - 1
+    depended = 0                       # edges that another edge depends on
+    for f, w in enumerate(within):
+        depended |= w & ~(1 << f)
+    classes = []
+    for e, k in enumerate(count):
+        removable = g.m > 1 and not depended >> e & 1    # K2 - e has no edge
+        b_inv = _minus_edge_brick_count(g, e, host) == host[0] if removable else None
+        classes.append(EdgeClass(e, removable, b_inv, k == 1, min(k, 2)))
     return EdgeClassReport(
-        classes=classes,
+        classes=tuple(classes),
         removable=sum(1 for c in classes if c.removable),
         b_invariant=sum(1 for c in classes if c.b_invariant),
         solitary=sum(1 for c in classes if c.solitary),

@@ -146,7 +146,10 @@ def parse_graph6(text):
     bits = 0
     for v in body:
         bits = (bits << 6) | v
-    bits >>= (6 * need - nbits) if need else 0
+    pad = 6 * need - nbits
+    if bits & ((1 << pad) - 1):
+        raise Graph6Error("graph6 padding bits are not zero", offset=len(s) - 1)
+    bits >>= pad
     edges = []
     k = nbits
     for j in range(1, n):
@@ -244,6 +247,8 @@ def delete_edge(g, e):
 
 def delete_vertices(g, vs):
     vset = set(vs)
+    if any(v < 0 or v >= g.n for v in vset):
+        raise GraphBuildError("deletion set has a vertex outside the graph")
     mapping = [None] * g.n
     nxt = 0
     for v in range(g.n):

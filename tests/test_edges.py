@@ -441,6 +441,15 @@ def test_classify_requires_matching_covered():
         is_b_invariant(g, e)
 
 
+def test_edge_index_must_be_in_range():
+    """-1 and m are rejected, not read as classify_all(g).classes[-1]."""
+    g = catalog("W6_PLUSPLUS")
+    for e in (-1, g.m):
+        for check in (classify_edge, is_removable, is_b_invariant, is_solitary):
+            with pytest.raises(PreconditionError):
+                check(g, e)
+
+
 def test_triangle_edges_k4():
     # every K4 vertex sits on a triangle with one outside neighbour, so all
     # six edges qualify, and each is indeed nonremovable

@@ -59,6 +59,9 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("ELéo")  # non-ASCII, not read as "EL?o"
     assert exc.value.offset == 2
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("A@")  # nonzero padding, not read as "A?"
+    assert exc.value.offset == 1
 
 
 def test_graph6_roundtrip_matches_reference():
@@ -119,6 +122,14 @@ def test_underlying_simple_and_add_delete():
     assert add_edge(g, 1, 3).m == 6
     h = delete_vertices(g, (0,))
     assert h.n == 3 and sorted(h.edges) == [(0, 1), (1, 2)]
+
+
+def test_delete_vertices_rejects_vertices_outside_the_graph():
+    g = build(4, [(0, 1), (1, 2), (2, 3)])
+    for vs in ((99,), (-1,), (4,), (0, 4)):
+        with pytest.raises(GraphBuildError):
+            delete_vertices(g, vs)
+    assert delete_vertices(g, ()).edges == g.edges
 
 
 def test_contract_merges_shore_to_highest_index():
