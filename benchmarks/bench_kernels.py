@@ -6,8 +6,8 @@ Times the kernel entries the census runs, on identical workloads: canonical
 labeling over a random graph batch and perfect matching enumeration (what edge
 classification lists), under each backend, with the py / c speedup of each.
 Both backends are imported directly, bypassing the MATCHCOV_KERNEL selection.
-Root refinement, claw detection and the matching rank have no compiled twin:
-their lines time the Python code once, with no speedup.
+Root refinement, claw detection, the matching rank and decompose have no
+compiled twin: their lines time the Python code once, with no speedup.
 
 The generation labeling line times canon_auto over the 1,470 children that
 generation labels under the Python kernel on the way to n=8, as the census
@@ -23,7 +23,9 @@ line times is_claw_free over the adjacencies of 2,000 random graphs on 8 to
 classification reads b from on four random bricks on 10 or 12 vertices: the
 GF(2) basis of each brick's perfect matchings, then b(G-e) read off it for
 every removable edge.  The matchings and the removable edges (from
-classify_all) are listed before timing.
+classify_all) are listed before timing.  The decompose line times the tight
+cut decomposition of the 5-cube Q5, a brace with 589,185 perfect matchings,
+none of which its matching covered check or its Hall shore search lists.
 """
 
 import argparse
@@ -35,6 +37,7 @@ from matchcov.edges import _host_basis, _minus_edge_brick_count, classify_all
 from matchcov.generate import CanonicalAugmenter
 from matchcov.graph import build
 from matchcov.matching import is_brick
+from matchcov.tightcut import decompose
 
 try:
     from matchcov._kernel import ckernel
@@ -129,6 +132,11 @@ def bench_claw(graphs):
         pykernel.is_claw_free(n, adj)
 
 
+def bench_decompose(graphs):
+    for g in graphs:
+        decompose(g)
+
+
 def bench_rank(bricks):
     for g, removable in bricks:
         host = _host_basis(g)
@@ -164,6 +172,8 @@ def main():
         ("claw detection", bench_claw,
          [(n, _adj(n, edges)) for n, edges in _random_graphs(3, 2000, 8, 14)]),
         ("matching rank", bench_rank, _bricks_with_removable_edges(4, 4, 10, 12)),
+        ("decompose", bench_decompose,
+         [build(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])]),
     ]
 
     results = {}

@@ -4,22 +4,22 @@ b-invariance is only defined for removable edges, so EdgeClass.b_invariant is
 None (not False) on nonremovable edges; every_b_invariant_solitary treats None
 as not-b-invariant.
 
-classify_all answers every edge from one pass over the host's perfect
-matchings (Graph.perfect_matchings).  For each edge f it counts the matchings
-through f, which gives the solitary count, and ANDs them into within[f], the
-edges that all of them contain: f depends on each edge of within[f] (Carvalho,
-Lucchesi and Murty, "Ear decompositions of matching covered graphs",
-Combinatorica 1999).  The matchings of G-e are the host's matchings that avoid
-e, so G-e covers its edges iff no edge other than e depends on e; that is
-removability, as a matching covered host is 2-connected (or has 2 vertices), so
-G-e stays connected.  b(G) and one GF(2) basis of the host's matchings
-(_host_basis) are computed once per host; each removable edge then reads
-b(G-e) off that basis (_minus_edge_brick_count), and only the edges that GF(2)
-cannot settle take an exact rational rank of the host's matchings that avoid
-e.  No G-e is built, and no edge costs a matching search of G-e.
+classify_all answers every edge from one pass over the host's perfect matchings
+(Graph.perfect_matchings).  For each edge f it counts the matchings through f,
+which gives the solitary count and checks that the host is matching covered,
+and ANDs them into within[f], the edges that all of them contain: f depends on
+each edge of within[f] (Carvalho, Lucchesi and Murty, "Ear decompositions of
+matching covered graphs", Combinatorica 1999).  The matchings of G-e are the
+host's matchings that avoid e, so G-e covers its edges iff no edge other than e
+depends on e; that is removability, as a matching covered host is 2-connected
+(or has 2 vertices), so G-e stays connected.  b(G) and one GF(2) basis of the
+host's matchings (_host_basis) are computed once per host; each removable edge
+then reads b(G-e) off that basis (_minus_edge_brick_count), and only the edges
+that GF(2) cannot settle take an exact rational rank of the host's matchings
+that avoid e.  No G-e is built, and no edge costs a matching search of G-e.
 
-is_removable is the definition itself, G-e matching covered, with G-e's
-matchings listed afresh: it holds on any host and cross-checks classify_all.
+is_removable is the definition, G-e matching covered, asked of G-e's memo
+(no matching listed): it holds on any host and cross-checks classify_all.
 
 b comes from the matching rank, not from a tight-cut decomposition: for a
 matching covered G, b(G) = m - n + 2 - rank_Q(M), where the rows of M are the
@@ -30,7 +30,7 @@ incidence vectors of G's perfect matchings (Edmonds, Lovasz and Pulleyblank,
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import delete_edge, is_bipartite
+from .graph import delete_edge, is_bipartite, is_connected
 from .matching import count_pm_containing, is_matching_covered
 
 
@@ -93,8 +93,6 @@ def _host_basis(g):
     m - n + 1 pivots certify b = 1.  Anything short of that takes the exact
     rational rank.
     """
-    if not is_matching_covered(g):
-        raise PreconditionError("edge classification requires a matching covered graph")
     if is_bipartite(g):
         return 0, (), ()
     pms = g.perfect_matchings
@@ -198,7 +196,6 @@ def _rational_rank(rows, width, stop):
 
 def classify_all(g):
     """EdgeClass for every edge, in edge-index order, plus summary counts."""
-    host = _host_basis(g)
     count, within = [0] * g.m, [-1] * g.m     # -1: every edge, before any AND
     for p in g.perfect_matchings:
         rest = p
@@ -207,6 +204,9 @@ def classify_all(g):
             count[f] += 1
             within[f] &= p
             rest &= rest - 1
+    if not g.m or not all(count) or not is_connected(g):
+        raise PreconditionError("edge classification requires a matching covered graph")
+    host = _host_basis(g)
     depended = 0                       # edges that another edge depends on
     for f, w in enumerate(within):
         depended |= w & ~(1 << f)

@@ -176,7 +176,8 @@ def _adj_to_graph(adj, perm, colors):
             nb &= nb - 1
             edges.append((u, v))
     g = Graph(n, tuple(edges))
-    # g.adj is adj: fill the cached property generation has computed
+    # fill the cached properties generation has computed
+    g.__dict__["adj"] = adj
     if perm is None:
         g.__dict__["root_colors"] = colors
     else:

@@ -57,11 +57,9 @@ class Graph:
     @cached_property
     def perfect_matchings(self):
         """Every perfect matching, as an edge bitmask, in the fixed order:
-        match the lowest free vertex, edges by index.
-
-        The tuple is always complete.  Edge classification fills it in for
-        G-e from the host's list, because it holds G-e's matchings already.
-        """
+        match the lowest free vertex, edges by index; always complete.  Only
+        counts, ranks and concrete matchings read it: whether one exists is
+        asked of matching._pm_memo."""
         _check_size(self)
         eu, ev = self.edge_arrays
         return tuple(_kernel.enumerate_pms(self.n, eu, ev))
@@ -119,15 +117,16 @@ def build(n, pairs):
 # ---------------------------------------------------------------------------
 
 def parse_graph6(text):
-    """Decode one graph6 line into a simple Graph."""
+    """Decode one graph6 line into a simple Graph; error offsets index text."""
     s = text.strip()
+    head = len(text) - len(text.lstrip())      # where s starts in text
     if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+        s, head = s[len(">>graph6<<"):], head + len(">>graph6<<")
     if not s:
         raise Graph6Error("empty graph6 string")
     for off, ch in enumerate(s):
         if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"invalid graph6 character {ch!a}", offset=off)
+            raise Graph6Error(f"invalid graph6 character {ch!a}", offset=head + off)
     vals = [ord(ch) - 63 for ch in s]
     if vals[0] <= 62:
         n, body = vals[0], vals[1:]
@@ -135,20 +134,20 @@ def parse_graph6(text):
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         body = vals[4:]
     else:
-        raise Graph6Error("unsupported graph6 size header", offset=0)
+        raise Graph6Error("unsupported graph6 size header", offset=head)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) != need:
         raise Graph6Error(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}",
-            offset=len(s),
+            offset=head + len(s),
         )
     bits = 0
     for v in body:
         bits = (bits << 6) | v
     pad = 6 * need - nbits
     if bits & ((1 << pad) - 1):
-        raise Graph6Error("graph6 padding bits are not zero", offset=len(s) - 1)
+        raise Graph6Error("graph6 padding bits are not zero", offset=head + len(s) - 1)
     bits >>= pad
     edges = []
     k = nbits

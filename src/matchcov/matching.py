@@ -5,10 +5,10 @@ approximated.  Matchings are bitmasks over edge indices, and parallel edges
 count as distinct edges throughout (contracted graphs rely on this).
 
 Each Graph lists its perfect matchings once, as Graph.perfect_matchings,
-always complete, and every count is read off that list.  Whether a perfect
-matching exists is asked of one memo over alive vertex sets of the simple
-view (see _pm_memo), which lists nothing; bicriticality answers every G-u-v
-from the same memo.
+always complete, and every count is read off that list.  Every yes/no
+question is asked of one memo over alive vertex sets of the simple view (see
+_pm_memo), which lists nothing: whether G has a perfect matching, and whether
+G-u-v has one for each pair (bicritical) or each edge uv (matching covered).
 """
 
 from .errors import PreconditionError
@@ -42,14 +42,13 @@ def count_pm_containing(g, e):
 
 
 def is_matching_covered(g):
-    """Connected, at least one edge, and every edge lies in some perfect matching."""
+    """Connected, at least one edge, and every edge uv lies in some perfect
+    matching: G-u-v has one, which the memo answers without listing any."""
     _check_size(g)
-    if g.n % 2:
+    if g.n % 2 or not g.m or not is_connected(g):
         return False
-    covered = 0
-    for p in g.perfect_matchings:
-        covered |= p
-    return g.m > 0 and covered == (1 << g.m) - 1 and is_connected(g)
+    has_pm, full = _pm_memo(g)[0], (1 << g.n) - 1
+    return all(has_pm(full & ~(1 << u | 1 << v)) for u, v in g.edges)
 
 
 def is_bicritical(g):
@@ -60,7 +59,7 @@ def is_bicritical(g):
 
 def _pm_memo(g):
     """(has_pm, unmatched) for a graph of even order: the memo behind
-    has_perfect_matching, is_bicritical and its witnesses.
+    has_perfect_matching, is_matching_covered, is_bicritical and its witnesses.
 
     has_pm(alive) says whether the simple view induced on the vertex bit set
     alive has a perfect matching.  A set is filled in by matching its lowest

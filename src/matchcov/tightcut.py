@@ -4,8 +4,8 @@ A matching covered graph that is neither a brick nor a brace has a
 nontrivial barrier cut or 2-separation cut, and a bipartite one that is not a
 brace a cut S + N(S) with |N(S)| = |S| + 1 (Edmonds, Lovasz and Pulleyblank,
 Combinatorica 1982; Lovasz, JCTB 1987).  find_nontrivial_tight_cut reads
-these shores off the witnesses of the brick funnel's own predicates, so it is
-bounded only by MAX_EXACT_N, like every exact operation.
+these shores off the existence memo (matching._pm_memo), as the input check
+does; only a Hall shore lists matchings, for one through an edge.
 
 decompose runs the one contraction recursion and labels no piece: b counts
 the nonbipartite pieces, and DecompositionResult.certificates() labels the

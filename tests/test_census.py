@@ -297,13 +297,14 @@ def test_generated_census_augments_each_level_once(labeled):
 
 
 def test_generated_graphs_carry_their_census_key():
-    """Every generated graph carries the labeling generation hands on, or,
-    when generation accepted it unlabeled, its root colors; either gives
-    the key a fresh labeling gives."""
+    """Every generated graph carries its adjacency and the labeling
+    generation hands on, or, when generation accepted it unlabeled, its root
+    colors; either gives the key a fresh labeling gives."""
     aug = CanonicalAugmenter()
     for n in range(1, 9):
         for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug):
             fresh = Graph(g.n, g.edges)
+            assert "adj" in vars(g) and g.adj == fresh.adj
             if "canonical_perm" in vars(g):
                 assert g.canonical_perm == fresh.canonical_perm
             else:

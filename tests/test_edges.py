@@ -212,11 +212,14 @@ def test_classification_runs_no_tight_cut_search(monkeypatch):
 
 
 def test_each_graph_is_checked_matching_covered_once(monkeypatch):
-    """One check of the host, which also runs the one connectivity search;
-    each G-e is decided removable from its matching list alone, and the rank
-    trusts both."""
+    """Classification checks its host from its own pass over the host's
+    matchings, with one connectivity search and no is_matching_covered call;
+    each G-e is decided removable from that pass, and the rank trusts it.
+    A host the pass finds wanting is refused where is_matching_covered is
+    False: no edges, an edge in no perfect matching, odd order, or covered
+    edges in a disconnected graph."""
     covered, connected = [], []
-    real_covered, real_connected = matching.is_matching_covered, matching.is_connected
+    real_covered, real_connected = matching.is_matching_covered, edges.is_connected
 
     def counting_covered(g):
         covered.append(g.n)
@@ -226,16 +229,21 @@ def test_each_graph_is_checked_matching_covered_once(monkeypatch):
         connected.append(g.n)
         return real_connected(g)
 
-    monkeypatch.setattr(matching, "is_matching_covered", counting_covered)
-    monkeypatch.setattr(edges, "is_matching_covered", counting_covered)
-    monkeypatch.setattr(matching, "is_connected", counting_connected)
+    for module in (matching, edges):
+        monkeypatch.setattr(module, "is_matching_covered", counting_covered)
+        monkeypatch.setattr(module, "is_connected", counting_connected)
     w = catalog("W6_PLUSPLUS")
     for g in (catalog("PETERSEN"), w, delete_edge(w, w.edge_index(3, 4))):
         for classify in (classify_all, lambda g: classify_edge(g, 0)):
             covered.clear()
             connected.clear()
             classify(g)
-            assert covered == connected == [g.n], to_graph6(g)
+            assert covered == [] and connected == [g.n], to_graph6(g)
+    for g in (build(4, []), build(4, [(0, 1), (1, 2), (2, 3)]),
+              build(3, [(0, 1), (1, 2), (0, 2)]), build(4, [(0, 1), (2, 3)])):
+        assert not real_covered(g)
+        with pytest.raises(PreconditionError):
+            classify_all(g)
 
 
 def _prism(k):

@@ -59,6 +59,12 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("ELéo")  # non-ASCII, not read as "EL?o"
     assert exc.value.offset == 2
+    # offsets count from the text given, before the whitespace and the
+    # ">>graph6<<" tag are stripped
+    for text, offset in ((">>graph6<<ELéo", 12), ("  ELéo", 4)):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset, text
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("A@")  # nonzero padding, not read as "A?"
     assert exc.value.offset == 1

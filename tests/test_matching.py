@@ -3,9 +3,12 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+import matchcov._kernel
 from matchcov.catalog import catalog
+from matchcov.edges import is_removable
 from matchcov.errors import CapacityError, PreconditionError
 from matchcov.generate import generate_all_graphs
 from matchcov.graph import build, bridges, contract
@@ -88,6 +91,44 @@ def test_matching_covered_matches_oracle():
         edges = oracles.random_simple_graph(rng, n, rng.random())
         g = build(n, edges)
         assert is_matching_covered(g) == oracles.nx_matching_covered(oracles.to_nx(g))
+
+
+def test_matching_covered_matches_the_count_oracle_on_multigraphs():
+    """Odd orders, no edges, disconnected graphs and parallel copies: G is
+    matching covered iff n is even, m > 0, G is connected and every edge
+    lies in some perfect matching."""
+    rng = random.Random(113)
+    seen = set()
+    for _ in range(400):
+        n = rng.randrange(1, 11)
+        edges = oracles.random_simple_graph(rng, n, rng.random())
+        edges += [rng.choice(edges) for _ in range(rng.randrange(3) if edges else 0)]
+        g = build(n, edges)
+        connected = nx.is_connected(oracles.to_nx(g))
+        through = all(oracles.pm_count_through(n, g.edges, e) for e in range(g.m))
+        want = n % 2 == 0 and g.m > 0 and connected and through
+        assert is_matching_covered(g) == want, (n, g.edges)
+        seen.add("covered" if want else "odd" if n % 2 else "no edges" if not g.m
+                 else "disconnected" if not connected else "uncovered edge")
+        if want and not g.is_simple():
+            seen.add("covered multigraph")
+    assert seen == {"covered", "covered multigraph", "odd", "no edges",
+                    "disconnected", "uncovered edge"}
+
+
+def test_q5_questions_list_no_matching(monkeypatch):
+    """The 5-cube has 589,185 perfect matchings.  Whether it and each Q5 - e
+    are matching covered, and its decomposition (one brace, no cut), come
+    from the existence memo with no matching listed."""
+    def refuse(*args):
+        raise AssertionError("perfect matchings listed")
+
+    monkeypatch.setattr(matchcov._kernel, "enumerate_pms", refuse)
+    q5 = build(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])
+    assert q5.m == 80 and is_matching_covered(q5)
+    assert all(is_removable(q5, e) for e in range(q5.m))
+    res = decompose(q5)
+    assert (res.b, res.braces, len(res.pieces), res.trace) == (0, 1, 1, ())
 
 
 def test_bicritical_and_brick_named_graphs():
