@@ -26,17 +26,25 @@ every removable edge.  The matchings and the removable edges (from
 classify_all) are listed before timing.  The decompose line times the tight
 cut decomposition of the 5-cube Q5, a brace with 589,185 perfect matchings,
 none of which its matching covered check or its Hall shore search lists.
+
+The two brick funnel lines time the census's 3-connected and bicritical
+tests over its 2,589 top-level children on 8 vertices, which come from 510
+parents, built before timing: once with the direct predicates, and once
+read off each parent's tables (child_funnel), built as the census builds
+them, once per run of siblings.
 """
 
 import argparse
 import random
 import time
+from functools import lru_cache
+
 from matchcov import _kernel
 from matchcov._kernel import pykernel
 from matchcov.edges import _host_basis, _minus_edge_brick_count, classify_all
-from matchcov.generate import CanonicalAugmenter
-from matchcov.graph import build
-from matchcov.matching import is_brick
+from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.graph import build, is_three_connected
+from matchcov.matching import child_funnel, is_bicritical, is_brick
 from matchcov.tightcut import decompose
 
 try:
@@ -137,6 +145,20 @@ def bench_decompose(graphs):
         decompose(g)
 
 
+def bench_funnel_direct(graphs):
+    for g in graphs:
+        is_three_connected(g) and is_bicritical(g)
+
+
+def bench_funnel_tables(graphs):
+    parent_funnel = lru_cache(maxsize=1)(child_funnel)
+    for g in graphs:
+        *rows, s = g.adj
+        three_connected, bicritical = parent_funnel(
+            tuple(a & ~(1 << len(rows)) for a in rows))
+        three_connected(s) and bicritical(s)
+
+
 def bench_rank(bricks):
     for g, removable in bricks:
         host = _host_basis(g)
@@ -162,6 +184,7 @@ def main():
     args = parser.parse_args()
 
     refined, labeled = _generation_children(8)
+    top_level = list(generate_all_graphs(8, min_degree=3, connected=True))
     twins = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
         ("generation labeling", bench_gen_canon, labeled),
@@ -171,6 +194,8 @@ def main():
         ("root refinement", bench_root, refined),
         ("claw detection", bench_claw,
          [(n, _adj(n, edges)) for n, edges in _random_graphs(3, 2000, 8, 14)]),
+        ("brick funnel, direct", bench_funnel_direct, top_level),
+        ("brick funnel, tables", bench_funnel_tables, top_level),
         ("matching rank", bench_rank, _bricks_with_removable_edges(4, 4, 10, 12)),
         ("decompose", bench_decompose,
          [build(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])]),

@@ -1,8 +1,13 @@
 """Small-graph census: pipeline, verdicts, reports, and the results cache.
 
 The pipeline per graph is: connected -> min degree 3 -> 3-connected ->
-bicritical (brick) -> optional claw-free -> full edge classification.  Two
-verdicts are supported:
+bicritical (brick) -> optional claw-free -> full edge classification.  A
+generated graph is its parent P plus the added vertex n-1, and the children
+of one parent arrive one after another, so its 3-connected and bicritical
+tests read tables built once per parent (matching.child_funnel).  An input
+graph is tested directly (is_three_connected, is_bicritical): it shares no
+parent with the graphs beside it, and for a lone child the tables cost more
+than the direct tests.  Two verdicts are supported:
 
   main   among claw-free bricks excluding K4 and the prism, the graphs in
          which every b-invariant edge is solitary must be exactly the wheel
@@ -26,6 +31,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 
 from .catalog import FAMILY_G, catalog
 from .edges import classify_all
@@ -33,7 +39,7 @@ from .errors import CapacityError, Graph6Error, MatchcovError
 from .generate import MAX_GENERATED_N, CanonicalAugmenter, generate_all_graphs
 from .graph import (Graph, canonical_graph6, is_claw_free, is_connected,
                     is_three_connected, parse_graph6)
-from .matching import is_bicritical
+from .matching import child_funnel, is_bicritical
 
 CSV_HEADER = "g6,n,m,claw_free,brick,b_invariant,solitary,every_b_invariant_solitary,tags"
 
@@ -213,7 +219,7 @@ def _cache_row(path, lineno, line):
 
 
 def _cache_line(rec):
-    row = asdict(rec)
+    row = dict(vars(rec))       # the fields, shallow: asdict deep-copies them
     del row["tags"]             # tags depend on the run's verdicts, not the graph
     return json.dumps(row, sort_keys=True) + "\n"
 
@@ -236,7 +242,10 @@ def run_census(cfg):
     survivors = {}
     max_n_seen = 0
 
-    def feed(path, numbered_graphs):
+    # siblings arrive one after another, so one parent's tables at a time
+    parent_funnel = lru_cache(maxsize=1)(child_funnel)
+
+    def feed(path, numbered_graphs, generated=False):
         nonlocal max_n_seen
         for lineno, g in numbered_graphs:
             totals["input"] += 1
@@ -249,11 +258,18 @@ def run_census(cfg):
             totals["min_degree_3"] += 1
             if g.n % 2:
                 continue  # bricks have perfect matchings, hence even order
+            if generated:
+                # generation added vertex n-1 to the parent g - (n-1)
+                *rows, arg = g.adj
+                three_connected, bicritical = parent_funnel(
+                    tuple(a & ~(1 << len(rows)) for a in rows))
+            else:
+                three_connected, bicritical, arg = is_three_connected, is_bicritical, g
             try:
-                if not is_three_connected(g):
+                if not three_connected(arg):
                     continue
                 totals["three_connected"] += 1
-                if not is_bicritical(g):
+                if not bicritical(arg):
                     continue
             except CapacityError as exc:
                 errors.append((path, lineno, str(exc)))
@@ -276,7 +292,8 @@ def run_census(cfg):
         aug = CanonicalAugmenter()
         for n in range(cfg.max_n, 0, -1):
             feed(f"<generated n={n}>", enumerate(generate_all_graphs(
-                n, min_degree=3, connected=True, augmenter=aug), start=1))
+                n, min_degree=3, connected=True, augmenter=aug), start=1),
+                 generated=True)
         max_n_seen = max(max_n_seen, cfg.max_n)
     for path, graphs, skips in ingested:
         skipped.extend((path, lineno, msg) for lineno, msg in skips)
@@ -360,7 +377,7 @@ def emit_report(summary, records, fmt="jsonl", path=None):
 def _report_lines(summary, records, fmt):
     if fmt == "jsonl":
         for rec in records:
-            yield json.dumps(asdict(rec), sort_keys=True) + "\n"
+            yield json.dumps(vars(rec), sort_keys=True) + "\n"
         yield json.dumps({"summary": summary_dict(summary)},
                          sort_keys=True, default=list) + "\n"
     elif fmt == "csv":

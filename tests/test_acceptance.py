@@ -104,8 +104,12 @@ def test_criterion_4_two_b_invariant_edges_census():
     t0 = time.monotonic()
     summary, _ = run_census(CensusConfig(max_n=8, checks=("thm11",)))
     ok = summary.thm11_pass is True and not summary.thm11_violations
+    ok &= summary.totals == {"input": 2762, "connected": 2762, "min_degree_3": 2762,
+                             "three_connected": 2406, "brick": 2102,
+                             "claw_free_brick": 373}
     _verdict(4, "every brick to n=8 beyond the four exceptions has >= 2 "
-                "b-invariant edges", ok, time.monotonic() - t0, 300)
+                "b-invariant edges, from the pinned funnel totals", ok,
+             time.monotonic() - t0, 300)
 
 
 def _random_unique_pm_graph(rng):

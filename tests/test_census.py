@@ -13,7 +13,7 @@ from matchcov.census import (CensusConfig, CensusRecord, emit_report,
                              family_g_certs, ingest_graph6, run_census)
 from matchcov.errors import CapacityError, MatchcovError
 from matchcov.generate import CanonicalAugmenter, generate_all_graphs
-from matchcov.graph import Graph, canonical_graph6, parse_graph6
+from matchcov.graph import Graph, canonical_graph6, is_three_connected, parse_graph6
 from matchcov.matching import is_brick
 
 # the fifth claw-free brick with the all-b-invariant-edges-solitary property:
@@ -158,6 +158,24 @@ def test_census_funnel_exits(tmp_path):
                               "three_connected": 2, "brick": 1, "claw_free_brick": 0}
     assert records == ()
     assert not summary.skipped_inputs and not summary.errors
+
+
+def test_generated_graphs_take_the_funnel_from_their_parents(tmp_path, monkeypatch):
+    """is_three_connected and is_bicritical run on input graphs only; the
+    parent tables give generated graphs the verdicts they would give."""
+    direct = []
+    for name in ("is_three_connected", "is_bicritical"):
+        real = getattr(census, name)
+        monkeypatch.setattr(census, name, lambda g, real=real: direct.append(g.n) or real(g))
+    path = tmp_path / "k4.g6"
+    path.write_text("C~\n")
+    summary, _ = run_census(CensusConfig(max_n=6, inputs=(str(path),), checks=("thm11",)))
+    assert direct == [4, 4]
+    drawn = [g for n in range(6, 0, -1) if n % 2 == 0
+             for g in generate_all_graphs(n, min_degree=3, connected=True)]
+    bricks = [g for g in drawn if is_brick(g)]
+    assert (summary.totals["three_connected"], summary.totals["brick"]) == (
+        sum(map(is_three_connected, drawn)) + 1, len(bricks) + 1)
 
 
 def test_records_sorted_and_jobs_deterministic():

@@ -284,5 +284,6 @@ def test_kernel_benchmark_script_runs():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     for label in ("canonical labeling", "generation labeling", "matching enumeration",
-                  "claw detection", "matching rank", "decompose"):
+                  "claw detection", "brick funnel, direct", "brick funnel, tables",
+                  "matching rank", "decompose"):
         assert label in proc.stdout

@@ -1,6 +1,7 @@
 """Exact perfect matching enumeration and the derived predicates."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -10,9 +11,9 @@ import matchcov._kernel
 from matchcov.catalog import catalog
 from matchcov.edges import is_removable
 from matchcov.errors import CapacityError, PreconditionError
-from matchcov.generate import generate_all_graphs
-from matchcov.graph import build, bridges, contract
-from matchcov.matching import (MAX_EXACT_N, count_perfect_matchings,
+from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.graph import build, bridges, contract, is_three_connected
+from matchcov.matching import (MAX_EXACT_N, child_funnel, count_perfect_matchings,
                                count_pm_containing, enumerate_perfect_matchings,
                                has_perfect_matching, is_bicritical, is_brick,
                                is_matching_covered, unique_pm_bridge)
@@ -174,6 +175,64 @@ def test_bicritical_matches_dp_oracle():
     verdicts = [is_bicritical(g) for g in graphs]
     assert verdicts == [_bicritical_by_dp(g) for g in graphs]
     assert any(verdicts) and not all(verdicts)
+
+
+def _funnel_pair(adj):
+    """(by the tables of child_funnel, directly): whether the simple graph
+    with neighbor bitmasks adj, taken as its parent G - (n-1) plus vertex
+    n-1, is 3-connected and bicritical."""
+    n = len(adj)
+    *rows, s = adj
+    three_connected, bicritical = child_funnel(tuple(a & ~(1 << n - 1) for a in rows))
+    g = build(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])
+    return (three_connected(s), bicritical(s)), (is_three_connected(g), is_bicritical(g))
+
+
+def test_child_funnel_matches_the_direct_predicates_on_generated_graphs():
+    """Every graph to n=8, each with the vertex generation added last."""
+    aug = CanonicalAugmenter()
+    verdicts = Counter()
+    for n in range(1, 9):
+        for adj, _, _ in aug.final_level(n):
+            tables, direct = _funnel_pair(adj)
+            assert tables == direct, adj
+            verdicts[direct] += 1
+    assert set(verdicts) == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_child_funnel_matches_the_direct_predicates_on_random_graphs():
+    """Random graphs on 4-16 vertices in which the last vertex w has degree
+    0-2, or its parent P = G - w is not 2-connected (two blocks sharing a
+    vertex, or two apart), or P is not factor-critical (bipartite with
+    parts of k and k + 1 vertices)."""
+    rng = random.Random(127)
+    seen = Counter()
+    for i in range(300):
+        n = rng.randrange(4, 17)
+        k = n - 1
+        kind = ("low degree", "cut vertex", "disconnected", "bipartite")[i % 4]
+        dense = rng.uniform(0.5, 0.9)
+        if kind == "low degree":
+            edges = oracles.random_simple_graph(rng, k, dense)
+        elif kind == "bipartite":
+            edges = [(u, v) for u in range(k // 2) for v in range(k // 2, k)
+                     if rng.random() < dense]
+        else:
+            cut = rng.randrange(1, k - 1)     # blocks 0..cut and cut+glue..k-1
+            glue = 0 if kind == "cut vertex" else 1
+            edges = [(u, v) for u in range(k) for v in range(u + 1, k)
+                     if (v <= cut or u >= cut + glue) and rng.random() < dense]
+        degree = rng.randrange(3) if kind == "low degree" else rng.randrange(3, k + 1)
+        edges += [(u, k) for u in rng.sample(range(k), degree)]
+        g = build(n, edges)
+        tables, direct = _funnel_pair(g.adj)
+        assert tables == direct, (n, edges)
+        assert direct[0] == (nx.node_connectivity(oracles.to_nx_simple(g)) >= 3)
+        seen[kind, direct] += 1
+    assert set(seen) == {
+        ("low degree", (False, False)), ("disconnected", (False, False)),
+        ("cut vertex", (False, False)), ("cut vertex", (False, True)),
+        ("bipartite", (False, False)), ("bipartite", (True, False))}
 
 
 def _mobius_ladder(n):
