@@ -16,9 +16,11 @@ whose new vertex is alone in the last root cell are accepted unlabeled, so
 they are not among them.  The Python kernel gets each child's root colors,
 as generation hands them over; the compiled one gets the adjacency only.
 
-The root refinement line times root_colors over the children that generation
-refines on that way, before it decides which to label.  The claw detection
-line times is_claw_free over the adjacencies of 2,000 random graphs on 8 to
+The root refinement line times root_pretest over the children that
+generation refines on that way, as generation calls it: each refinement
+stops as soon as it decides where the new vertex lies, and only a child
+whose new vertex shares the last root cell is refined to the end.  The claw
+detection line times is_claw_free over the adjacencies of 2,000 random graphs on 8 to
 14 vertices, built before timing.  The matching rank line times what edge
 classification reads b from on four random bricks on 10 or 12 vertices: the
 GF(2) basis of each brick's perfect matchings, then b(G-e) read off it for
@@ -76,28 +78,28 @@ def _bricks_with_removable_edges(seed, count, n_lo, n_hi):
 
 def _generation_children(max_n):
     """The children generation handles under the Python kernel while the
-    census's levels max_n..1 are generated: (n, adj) of each it root-refines,
-    and (n, adj, root colors) of each it labels.  It labels no top-level
-    child whose new vertex is alone in the last root cell: for max_n=8 it
-    refines 4,730 children and labels 1,470."""
+    census's levels max_n..1 are generated: (n, adj, top level) of each it
+    root-refines, and (n, adj, root colors) of each it labels.  It labels no
+    top-level child whose new vertex is alone in the last root cell: for
+    max_n=8 it refines 4,730 children and labels 1,470."""
     refined, labeled = [], []
-    saved = _kernel._impl, pykernel.root_colors, pykernel.canon_auto
+    saved = _kernel._impl, pykernel.root_pretest, pykernel.canon_auto
 
-    def refine(n, adj):
-        refined.append((n, adj))
-        return saved[1](n, adj)
+    def refine(n, adj, top_level):
+        refined.append((n, adj, top_level))
+        return saved[1](n, adj, top_level)
 
     def label(n, adj, colors=None):
         labeled.append((n, adj, colors))
         return saved[2](n, adj, colors)
 
-    _kernel._impl, pykernel.root_colors, pykernel.canon_auto = pykernel, refine, label
+    _kernel._impl, pykernel.root_pretest, pykernel.canon_auto = pykernel, refine, label
     try:
         aug = CanonicalAugmenter()
         for n in range(max_n, 0, -1):
             aug.final_level(n, min_degree=3, connected=True)
     finally:
-        _kernel._impl, pykernel.root_colors, pykernel.canon_auto = saved
+        _kernel._impl, pykernel.root_pretest, pykernel.canon_auto = saved
     return refined, labeled
 
 
@@ -124,8 +126,8 @@ def bench_gen_canon(mod, children):
 
 
 def bench_root(children):
-    for n, adj in children:
-        pykernel.root_colors(n, adj)
+    for n, adj, top_level in children:
+        pykernel.root_pretest(n, adj, top_level)
 
 
 def bench_pms(mod, graphs):

@@ -12,14 +12,17 @@ scan) exists only in Python and has no caller, and count_pms is
 len(enumerate_pms(...)) with no caller; both stay only because the
 benchmark's layer tracer names them.
 
-root_colors, the coloring canon_auto's search starts from, lets generation
-reject a child before labeling it, and accept a top-level child unlabeled
-when its new vertex is alone in the last root cell (see generate.py).  It
-has no compiled twin, and a Python refinement costs about five C labelings
-(the root refinement and generation labeling lines of
+root_pretest is the root refinement (pykernel.root_colors: the degree
+coloring refined to an equitable partition, where canon_auto's search
+starts) stopped as soon as it decides where vertex n-1 lies, which lets
+generation reject a child before labeling it, and accept a top-level child
+unlabeled when its new vertex is alone in the last root cell (see
+generate.py); only a child whose new vertex shares that cell is refined to
+the end.  It has no compiled twin.  A Python pretest costs about two to
+three C labelings (the root refinement and generation labeling lines of
 benchmarks/bench_kernels.py, on the children of the census's generation to
-n=8, one 2-vCPU virtual machine: 16-19 us per root refinement against
-3-5 us per C canon_auto), so under the compiled kernel it returns None and
+n=8, one 2-vCPU virtual machine: about 10 us per pretest against 4-5 us per
+C canon_auto), so under the compiled kernel it returns None and
 generation labels every child that the max-degree pretest passes.  A C twin
 would save both: the labelings of rejected children, and those of the
 top-level children the census never keys.
@@ -53,15 +56,16 @@ _C_MAX_MATCH_N = 32
 _C_MAX_EDGES = 128
 
 
-def root_colors(n, adj):
-    """pykernel.root_colors under the Python kernel, else None (no
+def root_pretest(n, adj, top_level):
+    """pykernel.root_pretest under the Python kernel, else None (no
     information)."""
-    return _py.root_colors(n, adj) if _impl is _py else None
+    return _py.root_pretest(n, adj, top_level) if _impl is _py else None
 
 
 def canon_auto(n, adj, colors=None):
-    """colors: root_colors(n, adj) or None.  The compiled kernel computes its
-    own, and so does its Python fallback, since root_colors gave it none."""
+    """colors: pykernel.root_colors(n, adj), as root_pretest hands them on,
+    or None.  The compiled kernel computes its own, and so does its Python
+    fallback, since root_pretest gave it none."""
     if _impl is _py:
         return _py.canon_auto(n, adj, colors)
     if n > _C_MAX_CANON_N:

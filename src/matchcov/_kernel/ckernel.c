@@ -139,7 +139,8 @@ read_edges(PyObject *eu, PyObject *ev, int n, int *cu, int *cv, int *m)
 
 /* ------------------------------------------------------------------------
    canonical labeling (individualization-refinement with automorphism
-   pruning); see pykernel.canon_auto
+   pruning, and a jump back to the first path from each leaf that repeats
+   the first leaf); see pykernel.canon_auto
    ------------------------------------------------------------------------ */
 
 typedef struct {
@@ -147,6 +148,9 @@ typedef struct {
     uint32_t adj[MAX_CANON_N];
     int parent[MAX_CANON_N];            /* union-find over the orbits */
     int have_leaf;
+    unsigned char path[MAX_CANON_N];    /* the vertices individualized, by depth */
+    unsigned char first_path[MAX_CANON_N];
+    int jump;                           /* depth to jump back to, or -1 */
     unsigned char first_perm[MAX_CANON_N], best_perm[MAX_CANON_N];
     unsigned char first_cert[CERTLEN], best_cert[CERTLEN];
     unsigned char (*autos)[MAX_CANON_N];  /* discovered automorphisms, in order */
@@ -294,8 +298,10 @@ record_auto(Canon *st, const unsigned char *p, const unsigned char *q)
     return 0;
 }
 
+/* Record the leaf at the end of path[0..depth); on an automorphism of the
+   first leaf, set jump to the depth where path leaves the first path. */
 static int
-handle_leaf(Canon *st, const int *colors)
+handle_leaf(Canon *st, const int *colors, int depth)
 {
     int n = st->n;
     unsigned char perm[MAX_CANON_N], cert[CERTLEN];
@@ -308,10 +314,17 @@ handle_leaf(Canon *st, const int *colors)
         memcpy(st->best_cert, cert, st->certlen);
         memcpy(st->first_perm, perm, n);
         memcpy(st->best_perm, perm, n);
+        memcpy(st->first_path, st->path, depth);
         return 0;
     }
-    if (memcmp(cert, st->first_cert, st->certlen) == 0 && record_auto(st, st->first_perm, perm) < 0)
-        return -1;
+    if (memcmp(cert, st->first_cert, st->certlen) == 0) {
+        if (record_auto(st, st->first_perm, perm) < 0)
+            return -1;
+        int d = 0;
+        while (st->path[d] == st->first_path[d])
+            d++;
+        st->jump = d;
+    }
     int cmp = memcmp(cert, st->best_cert, st->certlen);
     if (cmp < 0) {
         memcpy(st->best_cert, cert, st->certlen);
@@ -345,9 +358,10 @@ closure(const Canon *st, uint32_t tried, uint32_t fixed)
 }
 
 /* Individualize each vertex of the first non-singleton cell in turn, vertex
-   order, skipping those in the orbit of the ones already tried. */
+   order, skipping those in the orbit of the ones already tried, and return
+   early while a jump back to a shallower node is pending. */
 static int
-search(Canon *st, const int *colors, uint32_t fixed)
+search(Canon *st, const int *colors, uint32_t fixed, int depth)
 {
     int n = st->n, counts[MAX_CANON_N] = {0}, cell = -1;
     for (int v = 0; v < n; v++)
@@ -356,7 +370,7 @@ search(Canon *st, const int *colors, uint32_t fixed)
         if (counts[c] > 1)
             cell = c;
     if (cell < 0)
-        return handle_leaf(st, colors);
+        return handle_leaf(st, colors, depth);
     uint32_t tried = 0;
     for (int v = 0; v < n; v++) {
         if (colors[v] != cell || (tried && closure(st, tried, fixed) >> v & 1u))
@@ -367,8 +381,14 @@ search(Canon *st, const int *colors, uint32_t fixed)
         sub[v] -= 1;
         normalize(n, sub);
         refine(st, sub);
-        if (search(st, sub, fixed | 1u << v) < 0)
+        st->path[depth] = (unsigned char)v;
+        if (search(st, sub, fixed | 1u << v, depth + 1) < 0)
             return -1;
+        if (st->jump >= 0) {
+            if (st->jump < depth)
+                return 0;
+            st->jump = -1;      /* this is the node the path left the first path at */
+        }
         tried |= 1u << v;
     }
     return 0;
@@ -435,7 +455,7 @@ canon_auto(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (n == 0)
         return Py_BuildValue("(y#()()())", "\0", (Py_ssize_t)1);
 
-    Canon st = {.n = n, .certlen = 1 + (n * (n - 1) / 2 + 7) / 8};
+    Canon st = {.n = n, .certlen = 1 + (n * (n - 1) / 2 + 7) / 8, .jump = -1};
     int colors[MAX_CANON_N];
     for (int v = 0; v < n; v++) {
         st.adj[v] = (uint32_t)masks[v];
@@ -444,7 +464,7 @@ canon_auto(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     normalize(n, colors);
     refine(&st, colors);
-    PyObject *result = search(&st, colors, 0) < 0 ? PyErr_NoMemory() : canon_result(&st);
+    PyObject *result = search(&st, colors, 0, 0) < 0 ? PyErr_NoMemory() : canon_result(&st);
     PyMem_Free(st.autos);
     PyMem_Free(st.fixes);
     return result;

@@ -1,10 +1,10 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
 The compiled kernel (ckernel.c) provides canon_auto and enumerate_pms with
-byte-identical results, within its widths.  root_colors, is_claw_free and
-first_tight_cut exist only here; first_tight_cut has no caller, and stays
-only because the benchmark's layer tracer names it.  There is no
-counting twin: a count is the length of enumerate_pms's list, and the
+byte-identical results, within its widths.  root_colors, root_pretest,
+is_claw_free and first_tight_cut exist only here; first_tight_cut has no
+caller, and stays only because the benchmark's layer tracer names it.  There
+is no counting twin: a count is the length of enumerate_pms's list, and the
 dispatch's count_pms, which only the tracer names, is that one line.
 Everything here works on primitive data: a vertex count plus either
 per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
@@ -22,7 +22,8 @@ This is exact, not a heuristic: it yields the same ordered partition as
 recounting every cell, because in an equitable coloring the counts into a
 cell that did not split are equal across each new cell (see _refine and
 _individualize).  So the certificates, perms, orbits and generators, in
-their order, are those of ckernel.c's full recount.
+their order, are those of ckernel.c's full recount, whose search prunes
+alike (see canon_auto).
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
@@ -80,21 +81,27 @@ def _refine(adj, cells, changed):
     split off an equitable partition, as _individualize does.
     """
     while changed:
-        planes = [p for m in changed for p in reversed(_count_planes(adj, m))]
-        out = []
-        changed = []
-        for cell in cells:
-            parts = [cell]
-            if cell & (cell - 1):
-                for p in planes:
-                    if cell & p and cell & p != cell:
-                        parts = [q for part in parts
-                                 for q in (part & ~p, part & p) if q]
-                if len(parts) > 1:
-                    changed += parts
-            out += parts
-        cells = out
+        cells, changed = _split(adj, cells, changed)
     return cells
+
+
+def _split(adj, cells, changed):
+    """One round of _refine: the cells split by their members' counts into
+    the changed cells, and the parts of the cells that split."""
+    planes = [p for m in changed for p in reversed(_count_planes(adj, m))]
+    out = []
+    split = []
+    for cell in cells:
+        parts = [cell]
+        if cell & (cell - 1):
+            for p in planes:
+                if cell & p and cell & p != cell:
+                    parts = [q for part in parts
+                             for q in (part & ~p, part & p) if q]
+            if len(parts) > 1:
+                split += parts
+        out += parts
+    return out, split
 
 
 def _individualize(adj, cells, c0, v):
@@ -141,15 +148,39 @@ def _colors(n, cells):
     return colors
 
 
-def root_colors(n, adj):
-    """The coloring canon_auto's search starts from: degrees refined to an
-    equitable partition."""
+def _degree_cells(adj):
     by_degree = {}
     for v, a in enumerate(adj):
         d = a.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
+def root_colors(n, adj):
+    """The coloring canon_auto's search starts from: degrees refined to an
+    equitable partition."""
+    cells = _degree_cells(adj)
     return _colors(n, _refine(adj, cells, cells))
+
+
+def root_pretest(n, adj, top_level):
+    """Where the root refinement puts vertex n-1, decided as early as it is
+    decided: False once n-1 leaves the last cell, True on the top level once
+    n-1 is alone in it, and otherwise root_colors(n, adj).
+
+    Refinement only splits cells, in place, so the last cell only shrinks:
+    a vertex that leaves it never returns, and one alone in it stays last.
+    The test runs on the degree cells and after each round of _refine."""
+    cells = changed = _degree_cells(adj)
+    bit = 1 << (n - 1)
+    while True:
+        if not cells[-1] & bit:
+            return False
+        if top_level and cells[-1] == bit:
+            return True
+        if not changed:
+            return _colors(n, cells)
+        cells, changed = _split(adj, cells, changed)
 
 
 def _cert_bits(n, adj, perm):
@@ -168,9 +199,25 @@ def canon_auto(n, adj, colors=None):
     """Canonical certificate of a simple graph given as neighbor bitmasks.
 
     Returns (cert, perm, orbits, gens): cert is permutation-invariant bytes,
-    perm[i] is the vertex placed at canonical position i, orbits[v] is a
-    representative label of v's automorphism orbit, and gens is the list of
+    perm[i] is the vertex placed at canonical position i, orbits[v] is the
+    least vertex of v's automorphism orbit, and gens is the list of
     automorphisms discovered by the search (they generate the full group).
+
+    The search individualizes each vertex of the first non-singleton cell in
+    turn, in vertex order, and skips a vertex in the orbit of those tried
+    under the automorphisms found so far that fix the path.  A leaf is
+    compared with the first leaf and with the best: an equal certificate
+    records the automorphism taking one to the other.  On one equal to the
+    first leaf's, the search also jumps back to the node where the path
+    leaves the first path (McKay's first-path pruning; McKay & Piperno
+    2014): the automorphism maps the first path's subtree at that node onto
+    the current child's, so the rest of the child's subtree repeats leaves
+    already seen.  The best leaf, the first one in search order with the
+    least certificate, is never in a skipped subtree, so cert and perm do
+    not depend on the pruning; and the automorphisms found still generate
+    the group (each first-path node finds its stabilizer's generators and
+    one automorphism into each child it tries in the first child's orbit),
+    so neither do the orbits.
 
     colors, when given, must be root_colors(n, adj), computed once by the
     caller.  The search starts from them, and refinement and
@@ -185,7 +232,7 @@ def canon_auto(n, adj, colors=None):
         colors = root_colors(n, adj)
 
     best = [None, None]        # cert, perm
-    first = [None, None]
+    first = [None, None, None]  # cert, perm, path
     autos = []                 # discovered automorphisms, as tuples
     parent = list(range(n))
 
@@ -210,17 +257,22 @@ def canon_auto(n, adj, colors=None):
             for v in range(n):
                 union(v, g[v])
 
-    def handle_leaf(cells):
+    def handle_leaf(cells, path):
+        """Record the leaf; return the depth to jump back to, or None."""
         p = [cell.bit_length() - 1 for cell in cells]   # cells are singletons
         cert = _cert_bits(n, adj, p)
+        jump = None
         if first[0] is None:
-            first[0], first[1] = cert, p
+            first[0], first[1], first[2] = cert, p, path
         elif cert == first[0]:
             record_auto(first[1], p)
+            # the node where path leaves the first path
+            jump = next(d for d, (v, w) in enumerate(zip(path, first[2])) if v != w)
         if best[0] is None or cert < best[0]:
             best[0], best[1] = cert, p
         elif cert == best[0]:
             record_auto(best[1], p)
+        return jump
 
     def closure(seed, fixed):
         # orbit closure of `seed` under discovered autos fixing the prefix
@@ -239,12 +291,14 @@ def canon_auto(n, adj, colors=None):
         return out
 
     def search(cells, fixed):
+        """Search below the node that individualized fixed; return the depth
+        of the node to jump back to, or None."""
         for c0, cell in enumerate(cells):
             if cell & (cell - 1):
                 break
         else:
-            handle_leaf(cells)
-            return
+            return handle_leaf(cells, fixed)
+        depth = len(fixed)
         tried = set()
         rest = cell
         while rest:
@@ -253,8 +307,11 @@ def canon_auto(n, adj, colors=None):
             v = low.bit_length() - 1
             if v in closure(tried, fixed):
                 continue
-            search(_individualize(adj, cells, c0, v), fixed + [v])
+            jump = search(_individualize(adj, cells, c0, v), fixed + [v])
+            if jump is not None and jump < depth:
+                return jump
             tried.add(v)
+        return None
 
     search(_cells(colors), [])
     orbits = tuple(find(v) for v in range(n))

@@ -7,7 +7,10 @@ of one parent arrive one after another, so its 3-connected and bicritical
 tests read tables built once per parent (matching.child_funnel).  An input
 graph is tested directly (is_three_connected, is_bicritical): it shares no
 parent with the graphs beside it, and for a lone child the tables cost more
-than the direct tests.  Two verdicts are supported:
+than the direct tests.  Bricks have even order, so a census to an odd max_n
+builds no level max_n, which the funnel would drop whole: its totals count
+the levels below, and its verdict still reads verified up to max_n.  Two
+verdicts are supported:
 
   main   among claw-free bricks excluding K4 and the prism, the graphs in
          which every b-invariant edge is solitary must be exactly the wheel
@@ -288,9 +291,10 @@ def run_census(cfg):
     cache = _load_cache(cfg.cache_path, cache_skips)
     if cfg.max_n:
         # top level first: building it builds and keeps every level below,
-        # which the later draws then only filter
+        # which the later draws then only filter.  Bricks have even order, so
+        # an odd max_n is no level worth building: max_n - 1 is the top.
         aug = CanonicalAugmenter()
-        for n in range(cfg.max_n, 0, -1):
+        for n in range(cfg.max_n - cfg.max_n % 2, 0, -1):
             feed(f"<generated n={n}>", enumerate(generate_all_graphs(
                 n, min_degree=3, connected=True, augmenter=aug), start=1),
                  generated=True)

@@ -41,24 +41,25 @@ to an equitable partition, which is where canon_auto's search starts (McKay's
 rule, as in nauty's geng: test a cheap invariant the canonical labeling
 respects before running it).  The vertex at the last canonical position lies
 in the last root cell, and so does its orbit, so a child whose new vertex
-lies elsewhere is skipped unlabeled.  A child that passes hands its root
-colors on to canon_auto, which does not refine them again.  Under the
-compiled kernel _kernel.root_colors gives no information, and every child the
-max-degree pretest passes is labeled.
+lies elsewhere is skipped unlabeled.  This root-cell pretest
+(_kernel.root_pretest) stops the refinement as soon as it decides: the
+refinement only splits cells in place, so the last cell only shrinks, and
+the child is rejected once its new vertex leaves it.  A child that passes
+hands its root colors on to canon_auto, which does not refine them again.
+Under the compiled kernel the pretest gives no information, and every child
+the max-degree pretest passes is labeled.
 
 On the top level, a child whose new vertex is alone in the last root cell
-is accepted unlabeled: the last canonical position lies in that cell, so it
+is accepted unlabeled, and the pretest stops as soon as that holds, before
+or after any round: the last canonical position lies in that cell, so it
 holds the new vertex, and canonical deletion passes.  This is exact.  The
 top level is no parent, so it needs no generators, and the census later
-labels only those of these children that pass its funnel.  Under the
-compiled kernel there are no root colors, and every child is labeled.
+labels only those of these children that pass its funnel
+(Graph.canonical_perm).  Under the compiled kernel every child is labeled.
 
 Each labeled child keeps the canonical perm of the canon_auto call that
-accepted it, and a child accepted unlabeled keeps its root colors.
-generate_all_graphs hands either on as Graph.canonical_perm or
-Graph.root_colors, so canonical_graph6, the census key, labels no labeled
-graph again, and labels one accepted unlabeled without refining its root
-coloring again.
+accepted it, and generate_all_graphs hands it on as Graph.canonical_perm, so
+canonical_graph6, the census key, labels no labeled graph again.
 """
 
 from . import _kernel
@@ -73,19 +74,18 @@ class CanonicalAugmenter:
 
     def __init__(self):
         # level k: (floor, list of (adjacency tuple, automorphism generators,
-        # canonical perm, None)), every class on k vertices with minimum
-        # degree at least floor, in the order of the whole level
-        self._levels = {1: (0, [((0,), (), (0,), None)])}
+        # canonical perm)), every class on k vertices with minimum degree at
+        # least floor, in the order of the whole level
+        self._levels = {1: (0, [((0,), (), (0,))])}
 
     def _augment(self, n, min_degree, top_level=False):
         """Accepted children on n vertices with minimum degree at least
-        min_degree, as (adjacency, automorphism generators, canonical perm,
-        root colors); root colors is None for a labeled child.  On the top
-        level, a child whose new vertex is alone in the last root cell is
-        accepted unlabeled: its generators and perm are None.  Level n-1
-        must be kept with a floor of at most min_degree - 1."""
+        min_degree, as (adjacency, automorphism generators, canonical perm).
+        On the top level, a child whose new vertex is alone in the last root
+        cell is accepted unlabeled: its generators and perm are None.  Level
+        n-1 must be kept with a floor of at most min_degree - 1."""
         out = []
-        for parent_adj, autos, _, _ in self._levels[n - 1][1]:
+        for parent_adj, autos, _ in self._levels[n - 1][1]:
             # every parent vertex short of min_degree must gain the new edge
             degs = [a.bit_count() for a in parent_adj]
             if min(degs) < min_degree - 1:
@@ -114,21 +114,19 @@ class CanonicalAugmenter:
                             seen[img] = 1
                             stack.append(img)
                 adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
-                colors = _kernel.root_colors(n, adj)
-                if colors is not None:
-                    last = max(colors)
-                    if colors[n - 1] != last:
-                        continue  # the new vertex is outside the last root cell
-                    if top_level and colors.count(last) == 1:
-                        # the last canonical position holds the new vertex
-                        out.append((adj, None, None, colors))
-                        continue
+                colors = _kernel.root_pretest(n, adj, top_level)
+                if colors is False:
+                    continue  # the new vertex is outside the last root cell
+                if colors is True:
+                    # the last canonical position holds the new vertex
+                    out.append((adj, None, None))
+                    continue
                 _, perm, orbits, gens = _kernel.canon_auto(n, adj, colors)
                 # canonical deletion: the vertex at the last canonical position;
                 # the child survives only when the freshly added vertex is in
                 # its orbit
                 if orbits[n - 1] == orbits[perm[n - 1]]:
-                    out.append((adj, gens, perm, None))
+                    out.append((adj, gens, perm))
         return out
 
     def classes(self, n):
@@ -138,10 +136,8 @@ class CanonicalAugmenter:
 
     def final_level(self, n, min_degree=0, connected=False):
         """Classes on n vertices with minimum degree at least min_degree,
-        connected ones only when asked, as (adjacency tuple, canonical perm,
-        root colors) triples: perm is None for a class accepted unlabeled,
-        which carries its root colors instead, and root colors is None
-        otherwise.  Level k < n is needed only down to the floor
+        connected ones only when asked, as (adjacency tuple, canonical perm)
+        pairs: perm is None for a class accepted unlabeled.  Level k < n is needed only down to the floor
         max(0, min_degree - (n - k)); a level kept with a higher floor is
         built again.  Level n is reused when kept with a floor of at most
         min_degree, and otherwise built as the top level and not kept."""
@@ -155,7 +151,7 @@ class CanonicalAugmenter:
             level = kept[1]
         else:
             level = self._augment(n, min_degree, top_level=True)
-        return [(adj, perm, colors) for adj, _, perm, colors in level
+        return [(adj, perm) for adj, _, perm in level
                 if min(a.bit_count() for a in adj) >= min_degree
                 and (not connected or _spans(adj, (1 << n) - 1))]
 
@@ -166,7 +162,7 @@ def _check_n(n):
             f"built-in generation supports 1 <= n <= {MAX_GENERATED_N}, got {n}")
 
 
-def _adj_to_graph(adj, perm, colors):
+def _adj_to_graph(adj, perm):
     n = len(adj)
     edges = []
     for u in range(n):
@@ -178,9 +174,7 @@ def _adj_to_graph(adj, perm, colors):
     g = Graph(n, tuple(edges))
     # fill the cached properties generation has computed
     g.__dict__["adj"] = adj
-    if perm is None:
-        g.__dict__["root_colors"] = colors
-    else:
+    if perm is not None:
         g.__dict__["canonical_perm"] = perm
     return g
 
@@ -189,5 +183,5 @@ def generate_all_graphs(n, min_degree=0, connected=False, augmenter=None):
     """Stream one Graph per isomorphism class on n vertices, with minimum
     degree at least min_degree and, when asked, connected."""
     aug = augmenter or CanonicalAugmenter()
-    for adj, perm, colors in aug.final_level(n, min_degree, connected):
-        yield _adj_to_graph(adj, perm, colors)
+    for adj, perm in aug.final_level(n, min_degree, connected):
+        yield _adj_to_graph(adj, perm)

@@ -38,28 +38,22 @@ class Graph:
         return tuple(masks)
 
     @cached_property
-    def root_colors(self):
-        """The simple view's root coloring, where canonical labeling starts
-        (_kernel.root_colors; None under the compiled kernel)."""
-        return _kernel.root_colors(self.n, self.adj)
-
-    @cached_property
     def canonical_perm(self):
         """The simple view's canonical labeling: vertex at each position.
 
         Generation fills it in for the graphs it labels, because it has
         labeled exactly this adjacency already.  A top-level graph it
-        accepts unlabeled carries its root colors instead, so labeling it
-        here skips the root refinement.
+        accepts unlabeled is labeled here only when asked, as the census
+        asks for the graphs it keys.
         """
-        return _kernel.canon_auto(self.n, self.adj, self.root_colors)[1]
+        return _kernel.canon_auto(self.n, self.adj)[1]
 
     @cached_property
     def perfect_matchings(self):
         """Every perfect matching, as an edge bitmask, in the fixed order:
         match the lowest free vertex, edges by index; always complete.  Only
         counts, ranks and concrete matchings read it: whether one exists is
-        asked of matching._pm_memo."""
+        asked of matching._existence_memo."""
         _check_size(self)
         eu, ev = self.edge_arrays
         return tuple(_kernel.enumerate_pms(self.n, eu, ev))

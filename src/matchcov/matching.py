@@ -7,8 +7,10 @@ count as distinct edges throughout (contracted graphs rely on this).
 Each Graph lists its perfect matchings once, as Graph.perfect_matchings,
 always complete, and every count is read off that list.  Every yes/no
 question is asked of one memo over alive vertex sets of the simple view (see
-_pm_memo), which lists nothing: whether G has a perfect matching, and whether
-G-u-v has one for each pair (bicritical) or each edge uv (matching covered).
+_existence_memo), which lists nothing: whether G has a perfect matching, and
+whether G-u-v has one for each pair (bicritical) or each edge uv (matching
+covered).  The tight-cut search asks the memo its matching covered check
+filled (_covered_memo), so it builds one memo per graph.
 child_funnel answers 3-connected and bicritical for every child P + w of one
 parent P from tables built once over P, the second from such a memo over P.
 """
@@ -22,7 +24,7 @@ def has_perfect_matching(g):
     """Parallel edges do not change the answer, so the simple view's memo
     gives it."""
     _check_size(g)
-    return g.n % 2 == 0 and _pm_memo(g)[0]((1 << g.n) - 1)
+    return g.n % 2 == 0 and _existence_memo(g.adj)((1 << g.n) - 1)
 
 
 def enumerate_perfect_matchings(g):
@@ -46,33 +48,37 @@ def count_pm_containing(g, e):
 def is_matching_covered(g):
     """Connected, at least one edge, and every edge uv lies in some perfect
     matching: G-u-v has one, which the memo answers without listing any."""
+    return _covered_memo(g) is not None
+
+
+def _covered_memo(g):
+    """g's existence memo (_existence_memo over the simple view) when g is
+    matching covered, else None: a caller that goes on to ask g more, as the
+    tight-cut search does, asks the memo the check filled."""
     _check_size(g)
     if g.n % 2 or not g.m or not is_connected(g):
-        return False
-    has_pm, full = _pm_memo(g)[0], (1 << g.n) - 1
-    return all(has_pm(full & ~(1 << u | 1 << v)) for u, v in g.edges)
+        return None
+    has_pm, full = _existence_memo(g.adj), (1 << g.n) - 1
+    if all(has_pm(full & ~(1 << u | 1 << v)) for u, v in g.edges):
+        return has_pm
+    return None
 
 
 def is_bicritical(g):
     """G minus any two distinct vertices still has a perfect matching."""
     _check_size(g)
-    return g.n >= 2 and g.n % 2 == 0 and next(_pm_memo(g)[1], None) is None
+    return (g.n >= 2 and g.n % 2 == 0
+            and next(_unmatched(g.n, _existence_memo(g.adj)), None) is None)
 
 
-def _pm_memo(g):
-    """(has_pm, unmatched) for a graph of even order: the memo behind
-    has_perfect_matching, is_matching_covered, is_bicritical and its witnesses.
-
-    has_pm is _existence_memo over the simple view.  The pairs u < v, each
-    looked up as the full set less u and v, share most of their subproblems.
-    unmatched lazily yields, in that order, each pair for which G-u-v has no
-    perfect matching.
-    """
-    has_pm = _existence_memo(g.adj)
-    full = (1 << g.n) - 1
-    unmatched = ((u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                 if not has_pm(full & ~(1 << u) & ~(1 << v)))
-    return has_pm, unmatched
+def _unmatched(n, has_pm):
+    """Lazily, in order, each pair u < v of the n vertices for which G-u-v
+    has no perfect matching, asked of G's existence memo has_pm.  The pairs,
+    each looked up as the full set less u and v, share most of their
+    subproblems."""
+    full = (1 << n) - 1
+    return ((u, v) for u in range(n) for v in range(u + 1, n)
+            if not has_pm(full & ~(1 << u) & ~(1 << v)))
 
 
 def _existence_memo(adj):

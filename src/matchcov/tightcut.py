@@ -4,8 +4,9 @@ A matching covered graph that is neither a brick nor a brace has a
 nontrivial barrier cut or 2-separation cut, and a bipartite one that is not a
 brace a cut S + N(S) with |N(S)| = |S| + 1 (Edmonds, Lovasz and Pulleyblank,
 Combinatorica 1982; Lovasz, JCTB 1987).  find_nontrivial_tight_cut reads
-these shores off the existence memo (matching._pm_memo), as the input check
-does; only a Hall shore lists matchings, for one through an edge.
+these shores off the existence memo that the input's matching covered check
+filled (matching._covered_memo), one memo per graph searched; only a Hall
+shore lists matchings, for one through an edge.
 
 decompose runs the one contraction recursion and labels no piece: b counts
 the nonbipartite pieces, and DecompositionResult.certificates() labels the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graph import _reach, _two_separator, canonical_form, contract, is_bipartite
-from .matching import _pm_memo, is_matching_covered
+from .matching import _covered_memo, _existence_memo, _unmatched
 
 
 @dataclass(frozen=True)
@@ -65,19 +66,23 @@ def is_tight(g, x):
 def find_nontrivial_tight_cut(g):
     """A nontrivial tight cut of a matching covered g: a barrier, 2-separation
     or Hall cut (see the shores below), or None when g is a brick or a brace."""
-    if not is_matching_covered(g):
+    has_pm = _covered_memo(g)
+    if has_pm is None:
         raise PreconditionError("tight-cut search requires a matching covered graph")
-    x = _shore(g)
+    x = _shore(g, has_pm)
     return make_cut(g, x) if x else None
 
 
-def _shore(g):
+def _shore(g, has_pm):
     """The shore of find_nontrivial_tight_cut's cut of the matching covered
-    g, which is not checked, or 0 when g is a brick or a brace."""
-    return _hall_shore(g) if is_bipartite(g) else _barrier_shore(g) or _separation_shore(g)
+    g, which is not checked, or 0 when g is a brick or a brace.  has_pm is
+    g's existence memo."""
+    if is_bipartite(g):
+        return _hall_shore(g, has_pm)
+    return _barrier_shore(g, has_pm) or _separation_shore(g)
 
 
-def _barrier_shore(g):
+def _barrier_shore(g, has_pm):
     """A component K of G-B with |K| >= 3 for a maximal barrier B, or 0 when
     the nonbipartite g is bicritical.
 
@@ -86,8 +91,7 @@ def _barrier_shore(g):
     component of G-B to B by one edge; B is independent and g nonbipartite,
     so some K has |K| >= 3, and B with the other components leaves >= 3.
     """
-    has_pm, unmatched = _pm_memo(g)
-    pair = next(unmatched, None)
+    pair = next(_unmatched(g.n, has_pm), None)
     if pair is None:
         return 0
     full = (1 << g.n) - 1
@@ -114,7 +118,7 @@ def _separation_shore(g):
     return _reach(g.adj, rest & -rest, rest) | 1 << pair[0]
 
 
-def _hall_shore(g):
+def _hall_shore(g, has_pm):
     """S with N(S), |N(S)| = |S| + 1, for the bipartite g; 0 for a brace.
 
     e and f are the first disjoint edges in no common perfect matching: G
@@ -123,7 +127,6 @@ def _hall_shore(g):
     alternating path.  S is what alternating paths from one partner reach;
     N(S) is S's other partners and the far ends of e, f; 1 <= |S| <= |A| - 2.
     """
-    has_pm = _pm_memo(g)[0]
     full = (1 << g.n) - 1
     ends = [1 << u | 1 << v for u, v in g.edges]
     pair = next(((i, j) for i in range(g.m) for j in range(i + 1, g.m)
@@ -154,14 +157,15 @@ def decompose(g):
     either shore of a tight cut of a matching covered graph leaves a matching
     covered graph, so the pieces need no check.
     """
-    if not is_matching_covered(g):
+    has_pm = _covered_memo(g)
+    if has_pm is None:
         raise PreconditionError(
             "decomposition and edge classification require a matching covered graph")
     pieces = []
     trace = []
 
     def rec(h):
-        x = _shore(h)
+        x = _shore(h, has_pm if h is g else _existence_memo(h.adj))
         if not x:
             pieces.append((h, not is_bipartite(h)))
             return

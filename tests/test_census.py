@@ -10,9 +10,9 @@ import matchcov._kernel
 from matchcov import census
 from matchcov.catalog import FAMILY_G, catalog
 from matchcov.census import (CensusConfig, CensusRecord, emit_report,
-                             family_g_certs, ingest_graph6, run_census)
+                             family_g_certs, ingest_graph6, run_census, summary_dict)
 from matchcov.errors import CapacityError, MatchcovError
-from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.generate import CanonicalAugmenter, _adj_to_graph, generate_all_graphs
 from matchcov.graph import Graph, canonical_graph6, is_three_connected, parse_graph6
 from matchcov.matching import is_brick
 
@@ -87,10 +87,12 @@ def test_census_small_is_trivially_empty():
 
 
 def test_census_odd_order_adds_no_bricks():
-    at6, _ = run_census(CensusConfig(max_n=6, checks=("thm11",)))
-    at7, _ = run_census(CensusConfig(max_n=7, checks=("thm11",)))
-    assert at6.totals["brick"] == at7.totals["brick"]
-    assert at7.max_n_seen == 7
+    """An odd top level holds no brick, so the census does not build it: the
+    census to n=7 sees what the census to n=6 sees, and verifies up to 7."""
+    at6, r6 = run_census(CensusConfig(max_n=6, checks=("thm11",)))
+    at7, r7 = run_census(CensusConfig(max_n=7, checks=("thm11",)))
+    assert at6.totals == at7.totals and r6 == r7
+    assert at7.max_n_seen == 7 and summary_dict(at7)["verified_up_to_n"] == 7
 
 
 def test_census_main_verdict_finds_fifth_graph():
@@ -238,13 +240,17 @@ def test_emit_csv():
 
 
 def test_report_bytes_are_pinned():
+    """The census to n=7 builds no level 7 (bricks have even order), so its
+    funnel totals count the 23 graphs of levels 1-6 that reach the funnel."""
     summary, records = run_census(
         CensusConfig(max_n=7, claw_free_only=True, checks=("main", "thm11")))
+    assert summary.totals == {"input": 23, "connected": 23, "min_degree_3": 23,
+                              "three_connected": 18, "brick": 14, "claw_free_brick": 14}
     digests = {fmt: hashlib.sha256(emit_report(summary, records, fmt=fmt).encode()).hexdigest()
                for fmt in ("jsonl", "csv")}
     assert digests == {
-        "jsonl": "36eb039ba14a02261b1efdce0a8483e4e6d358457d0fa766cc9ebe287a89da7f",
-        "csv": "1169b618dcf67879ad284bffb8a6a4e03ab9ee3d3b642b7639d027d4b4067335",
+        "jsonl": "1dcad96dde7c045e949da3953e10492924f6e67fb5fe2d401728b1f279457cfe",
+        "csv": "0ff7ffb5e1dfe5c04ce96faee104a13cd183cb1194b697776b6c530b3bac3940",
     }
 
 
@@ -301,23 +307,28 @@ def test_generated_survivors_are_labeled_only_in_generation(labeled):
 
 
 def test_generated_census_augments_each_level_once(labeled):
-    """The census's generation labels exactly what one draw of level 7 with
-    min degree 3 labels, which builds each level below it once, down to the
-    floor that draw needs: no level is built twice."""
-    CanonicalAugmenter().final_level(7, 3, True)
+    """The census to n=7 builds no level 7, since bricks have even order:
+    its generation labels exactly what one draw of level 6 with min degree 3
+    labels, which builds each level below it once, down to the floor that
+    draw needs.  No level is built twice.  The census then labels the
+    top-level bricks generation accepted unlabeled, for their keys."""
+    top = CanonicalAugmenter().final_level(6, 3, True)
     generated = Counter(labeled)
     labeled.clear()
     run_census(CensusConfig(max_n=7, checks=("thm11",)))
     # thm11's exceptions, and the trivial bricks every census excludes
     keys = ("K4", "C6BAR", "R8", "PETERSEN", "K4", "C6BAR")
-    assert Counter(labeled) == generated + Counter(
+    unlabeled = Counter((6, adj) for adj, perm in top
+                        if perm is None and is_brick(_adj_to_graph(adj, perm)))
+    assert Counter(labeled) == generated + unlabeled + Counter(
         (catalog(name).n, catalog(name).adj) for name in keys)
 
 
 def test_generated_graphs_carry_their_census_key():
     """Every generated graph carries its adjacency and the labeling
-    generation hands on, or, when generation accepted it unlabeled, its root
-    colors; either gives the key a fresh labeling gives."""
+    generation hands on, or, when generation accepted it unlabeled, nothing
+    more: its key is then labeled from scratch.  Either gives the key a fresh
+    labeling gives."""
     aug = CanonicalAugmenter()
     for n in range(1, 9):
         for g in generate_all_graphs(n, min_degree=3, connected=True, augmenter=aug):
@@ -325,8 +336,6 @@ def test_generated_graphs_carry_their_census_key():
             assert "adj" in vars(g) and g.adj == fresh.adj
             if "canonical_perm" in vars(g):
                 assert g.canonical_perm == fresh.canonical_perm
-            else:
-                assert vars(g)["root_colors"] == fresh.root_colors
             assert canonical_graph6(g) == canonical_graph6(fresh)
 
 

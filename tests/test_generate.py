@@ -1,6 +1,8 @@
 """Exhaustive generation by canonical augmentation."""
 
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 
@@ -34,10 +36,12 @@ def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch
     cell of the root coloring, which holds only vertices of maximum degree,
     and hands canon_auto those root colors.  On the top level it accepts a
     child unlabeled when its new vertex is alone in that cell, and so last
-    in canonical order."""
+    in canonical order; such a child carries no root colors."""
     monkeypatch.setattr(_kernel, "_impl", _kernel._py)  # the pretest is Python's
     real = _kernel.canon_auto
     labeled = []
+    verdicts = []
+    pretest = _kernel.root_pretest
 
     def checked(n, adj, colors=None):
         root = pykernel.root_colors(n, adj)
@@ -46,24 +50,58 @@ def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch
         labeled.append(n)
         return real(n, adj, colors)
 
+    def counted(n, adj, top_level):
+        verdict = pretest(n, adj, top_level)
+        verdicts.append(verdict if isinstance(verdict, bool) else "colors")
+        return verdict
+
     monkeypatch.setattr(_kernel, "canon_auto", checked)
+    monkeypatch.setattr(_kernel, "root_pretest", counted)
     assert sum(1 for _ in generate_all_graphs(7)) == KNOWN_COUNTS[7]
     labeled.clear()
+    verdicts.clear()
     # the census's draw: levels 8 down to 1 from one shared augmenter
     aug = CanonicalAugmenter()
     assert sum(1 for n in range(8, 0, -1) for _ in generate_all_graphs(
         n, min_degree=3, connected=True, augmenter=aug)) == 2762
     assert len(labeled) == 1470 and labeled.count(8) == 785
+    # of the 4,730 children that reach the pretest, 1,433 are rejected and
+    # 1,827 accepted unlabeled, each as soon as the refinement decides it
+    assert Counter(verdicts) == {False: 1433, True: 1827, "colors": 1470}
     # the top level again, without the connectivity filter: of the 2,612
     # children in the last root cell, 785 labeled and 1,827 accepted unlabeled
     labeled.clear()
-    unlabeled = [(adj, colors) for adj, perm, colors in aug.final_level(8, min_degree=3)
-                 if perm is None]
+    unlabeled = [adj for adj, perm in aug.final_level(8, min_degree=3) if perm is None]
     assert len(labeled) == 785 and len(unlabeled) == 1827
-    for adj, colors in unlabeled:
-        assert colors == pykernel.root_colors(8, adj)
+    monkeypatch.setattr(_kernel, "canon_auto", real)
+    for adj in unlabeled:
+        g = _adj_to_graph(adj, None)
+        assert "canonical_perm" not in vars(g)
+        colors = pykernel.root_colors(8, adj)
         assert colors.count(colors[7]) == 1 and colors[7] == max(colors)
-        assert _adj_to_graph(adj, None, colors).canonical_perm[-1] == 7
+        assert g.canonical_perm[-1] == 7
+
+
+def test_root_pretest_stops_where_the_root_colors_decide():
+    """root_pretest gives the verdict the full root coloring gives on the
+    place of vertex n-1, or the root colors when they leave it open."""
+    rng = random.Random(17)
+    for _ in range(2000):
+        n = rng.randrange(1, 13)
+        p = rng.random()
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        colors = pykernel.root_colors(n, adj)
+        last = max(colors)
+        for top_level in (False, True):
+            want = (False if colors[n - 1] != last
+                    else True if top_level and colors.count(last) == 1
+                    else colors)
+            assert pykernel.root_pretest(n, adj, top_level) == want
 
 
 def test_no_duplicate_classes_up_to_6():
@@ -92,9 +130,9 @@ def test_min_degree_connected_filter():
 
 def _perms(level):
     """(adjacency, canonical perm) of each class of final_level's output,
-    labeling a class accepted unlabeled from its root colors."""
-    return [(adj, perm if perm is not None else _adj_to_graph(adj, perm, colors).canonical_perm)
-            for adj, perm, colors in level]
+    labeling a class accepted unlabeled."""
+    return [(adj, perm if perm is not None else _adj_to_graph(adj, perm).canonical_perm)
+            for adj, perm in level]
 
 
 def test_a_kept_level_filters_to_its_pushed_down_build():

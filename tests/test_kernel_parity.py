@@ -6,6 +6,7 @@ the package's own backend choice is unchanged.  The tests skip only when that
 build fails (no C compiler, say).
 """
 
+import hashlib
 import importlib.util
 import os
 import random
@@ -16,15 +17,19 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from matchcov import _kernel
 from matchcov._kernel import pykernel
+from matchcov.catalog import catalog, names
 from matchcov.generate import CanonicalAugmenter, generate_all_graphs
 
 import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
+
+DRAW_LABELINGS_DIGEST = "d2dea3f6bfa50269e9badb9770ec1c4c4984c804819b7b7c7ee7b19319c86b94"
 
 
 @pytest.fixture(scope="session")
@@ -90,6 +95,81 @@ def test_canon_parity_symmetric_graphs(ckernel):
     for n, edges in fixtures:
         adj = _adj(n, edges)
         assert pykernel.canon_auto(n, adj) == ckernel.canon_auto(n, adj)
+
+
+def _group_order(n, gens):
+    """Order of the permutation group generated by gens, closed from the
+    identity."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            k = tuple(h[x] for x in g)
+            if k not in group:
+                group.add(k)
+                frontier.append(k)
+    return len(group)
+
+
+def _assert_generators_span_the_group(kernel):
+    # search jumps back from each leaf that repeats the first leaf, so it
+    # finds fewer automorphisms than it passes; they must still generate
+    # the whole group, which networkx counts by listing it
+    graphs = [(g.n, g.adj) for g in map(catalog, names())]
+    graphs += [(g.n, g.adj) for n in range(1, 8) for g in generate_all_graphs(n)]
+    # moderate densities: networkx lists all 9! automorphisms of K9 slowly
+    rng = random.Random(443)
+    for _ in range(300):
+        n = rng.randrange(5, 10)
+        graphs.append((n, _adj(n, oracles.random_simple_graph(rng, n, rng.uniform(0.25, 0.75)))))
+    for n, adj in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1)
+        autos = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        assert _group_order(n, kernel.canon_auto(n, adj)[3]) == autos, (n, adj)
+
+
+def test_generators_span_the_automorphism_group():
+    _assert_generators_span_the_group(pykernel)
+
+
+def test_generators_span_the_automorphism_group_compiled(ckernel):
+    _assert_generators_span_the_group(ckernel)
+
+
+def _draw_labelings(monkeypatch):
+    """(n, adj, colors) of each labeling generation asks for in the census's
+    draw to n=8 under the Python kernel, then (8, adj, None) of each drawn
+    top-level graph it accepts unlabeled."""
+    monkeypatch.setattr(_kernel, "_impl", pykernel)
+    calls = []
+    real = _kernel.canon_auto
+
+    def recording(n, adj, colors=None):
+        calls.append((n, adj, colors))
+        return real(n, adj, colors)
+
+    monkeypatch.setattr(_kernel, "canon_auto", recording)
+    aug = CanonicalAugmenter()
+    top = [aug.final_level(n, min_degree=3, connected=True) for n in range(8, 0, -1)][0]
+    monkeypatch.undo()
+    return calls + [(8, adj, None) for adj, perm in top if perm is None]
+
+
+def test_draw_labelings_are_pinned(ckernel, monkeypatch):
+    """Certificates, perms and orbits of every graph the census's draw to
+    n=8 labels, under both kernels, are pinned by digest."""
+    labelings = _draw_labelings(monkeypatch)
+    assert len(labelings) == 1470 + 1827
+    for kernel in (pykernel, ckernel):
+        digest = hashlib.sha256()
+        for n, adj, colors in labelings:
+            result = (pykernel.canon_auto(n, adj, colors) if kernel is pykernel
+                      else ckernel.canon_auto(n, adj))
+            digest.update(repr(result[:3]).encode())
+        assert digest.hexdigest() == DRAW_LABELINGS_DIGEST, kernel.BACKEND_NAME
 
 
 def _graphs_to_label():
@@ -161,12 +241,12 @@ def test_refine_matches_round_by_round_reference():
 
 
 def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
-    """Under the compiled kernel, root_colors gives no information, so
+    """Under the compiled kernel, root_pretest gives no information, so
     generation labels every child the max-degree pretest passes, and neither
     the compiled canon_auto nor its Python fallback gets colors it did not
     compute."""
     monkeypatch.setattr(_kernel, "_impl", ckernel)
-    assert _kernel.root_colors(4, _adj(4, [(0, 1), (1, 2)])) is None
+    assert _kernel.root_pretest(4, _adj(4, [(0, 1), (1, 2)]), True) is None
     real = ckernel.canon_auto
     calls = []
 

@@ -193,7 +193,7 @@ def test_child_funnel_matches_the_direct_predicates_on_generated_graphs():
     aug = CanonicalAugmenter()
     verdicts = Counter()
     for n in range(1, 9):
-        for adj, _, _ in aug.final_level(n):
+        for adj, _ in aug.final_level(n):
             tables, direct = _funnel_pair(adj)
             assert tables == direct, adj
             verdicts[direct] += 1

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import matchcov
-from matchcov import tightcut
+from matchcov import matching, tightcut
 from matchcov._kernel import pykernel
 from matchcov.catalog import catalog, names
 from matchcov.errors import PreconditionError
@@ -231,13 +231,13 @@ def test_decompose_checks_matching_covered_once(monkeypatch):
     covered pieces, so decompose checks only its input, and still finds the
     pieces and cuts of the checked search."""
     calls = []
-    real = tightcut.is_matching_covered
+    real = tightcut._covered_memo
 
     def counting(g):
         calls.append(g.n)
         return real(g)
 
-    monkeypatch.setattr(tightcut, "is_matching_covered", counting)
+    monkeypatch.setattr(tightcut, "_covered_memo", counting)
     w = catalog("W6_PLUSPLUS")
     graphs = [delete_edge(w, w.edge_index(3, 4)), catalog("C6BAR"), hexagon(), catalog("K33")]
     graphs += _covered_graphs(random.Random(437), 12, True)
@@ -247,6 +247,33 @@ def test_decompose_checks_matching_covered_once(monkeypatch):
         res = decompose(g)
         assert calls == [g.n], to_graph6(g)
         assert ([(h.n, h.edges) for h, _ in res.pieces], res.trace) == want
+
+
+def test_one_existence_memo_per_graph_searched(monkeypatch):
+    """The tight-cut search asks the memo its matching covered check filled:
+    find_nontrivial_tight_cut builds one, and decompose one for its input
+    and one for each piece it contracts."""
+    builds = []
+    real = matching._existence_memo
+
+    def counting(adj):
+        builds.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(matching, "_existence_memo", counting)
+    monkeypatch.setattr(tightcut, "_existence_memo", counting)
+    w = catalog("W6_PLUSPLUS")
+    q5 = build(32, [(v, v | 1 << i) for v in range(32) for i in range(5) if not v >> i & 1])
+    graphs = [q5, parse_graph6("EQyo"), delete_edge(w, w.edge_index(3, 4)), hexagon(),
+              catalog("K4"), catalog("PETERSEN")]
+    graphs += _covered_graphs(random.Random(443), 12, True)
+    for g in graphs:
+        builds.clear()
+        find_nontrivial_tight_cut(g)
+        assert builds == [g.n], to_graph6(g)
+        builds.clear()
+        res = decompose(g)
+        assert len(builds) == 1 + 2 * len(res.trace), to_graph6(g)
 
 
 def test_each_shore_gives_a_tight_nontrivial_cut():
