@@ -6,25 +6,23 @@ Times the kernel entries the census runs, on identical workloads: canonical
 labeling over a random graph batch and perfect matching enumeration (what edge
 classification lists), under each backend, with the py / c speedup of each.
 Both backends are imported directly, bypassing the MATCHCOV_KERNEL selection.
-Root refinement, claw detection, the matching rank and decompose have no
-compiled twin: their lines time the Python code once, with no speedup.
+Claw detection, the matching rank and decompose have no compiled twin: their
+lines time the Python code once, with no speedup.
 
-The generation labeling line times canon_auto over the 1,470 children that
-generation labels under the Python kernel on the way to n=8, as the census
-draws the levels, collected once before timing.  The top level's children
-whose new vertex is alone in the last root cell are accepted unlabeled, so
-they are not among them.  The Python kernel gets each child's root colors,
-as generation hands them over; the compiled one gets the adjacency only.
+The canonical child line times _kernel.canonical_child over the 4,730
+children that reach canonical deletion on the way to n=8, as the census
+draws the levels, collected once before timing, with each backend selected
+in turn.  Under the Python kernel it runs the root pretest and labels 1,470
+of them; under the compiled one it labels all of them.  The generation
+labeling line times canon_auto over those 1,470 children alone.  The Python
+kernel gets each child's root cells, as canonical_child hands them over; the
+compiled one gets the adjacency only.
 
-The root refinement line times root_pretest over the children that
-generation refines on that way, as generation calls it: each refinement
-stops as soon as it decides where the new vertex lies, and only a child
-whose new vertex shares the last root cell is refined to the end.  The claw
-detection line times is_claw_free over the adjacencies of 2,000 random graphs on 8 to
-14 vertices, built before timing.  The matching rank line times what edge
-classification reads b from on four random bricks on 10 or 12 vertices: the
-GF(2) basis of each brick's perfect matchings, then b(G-e) read off it for
-every removable edge.  The matchings and the removable edges (from
+The claw detection line times is_claw_free over the adjacencies of 2,000
+random graphs on 8 to 14 vertices, built before timing.  The matching rank
+line times what edge classification reads b from on four random bricks on
+10 or 12 vertices: the GF(2) basis of each brick's perfect matchings, then
+b(G-e) read off it for every removable edge.  The matchings and the removable edges (from
 classify_all) are listed before timing.  The decompose line times the tight
 cut decomposition of the 5-cube Q5, a brace with 589,185 perfect matchings,
 none of which its matching covered check or its Hall shore search lists.
@@ -79,28 +77,28 @@ def _bricks_with_removable_edges(seed, count, n_lo, n_hi):
 def _generation_children(max_n):
     """The children generation handles under the Python kernel while the
     census's levels max_n..1 are generated: (n, adj, top level) of each it
-    root-refines, and (n, adj, root colors) of each it labels.  It labels no
-    top-level child whose new vertex is alone in the last root cell: for
-    max_n=8 it refines 4,730 children and labels 1,470."""
-    refined, labeled = [], []
-    saved = _kernel._impl, pykernel.root_pretest, pykernel.canon_auto
+    asks canonical_child about, and (n, adj, root cells) of each that
+    canonical_child labels.  For max_n=8 it asks about 4,730 children and
+    labels 1,470."""
+    asked, labeled = [], []
+    saved = _kernel._impl, _kernel.canonical_child, _kernel.canon_auto
 
-    def refine(n, adj, top_level):
-        refined.append((n, adj, top_level))
+    def ask(n, adj, top_level):
+        asked.append((n, adj, top_level))
         return saved[1](n, adj, top_level)
 
-    def label(n, adj, colors=None):
-        labeled.append((n, adj, colors))
-        return saved[2](n, adj, colors)
+    def label(n, adj, cells=None):
+        labeled.append((n, adj, cells))
+        return saved[2](n, adj, cells)
 
-    _kernel._impl, pykernel.root_pretest, pykernel.canon_auto = pykernel, refine, label
+    _kernel._impl, _kernel.canonical_child, _kernel.canon_auto = pykernel, ask, label
     try:
         aug = CanonicalAugmenter()
         for n in range(max_n, 0, -1):
             aug.final_level(n, min_degree=3, connected=True)
     finally:
-        _kernel._impl, pykernel.root_pretest, pykernel.canon_auto = saved
-    return refined, labeled
+        _kernel._impl, _kernel.canonical_child, _kernel.canon_auto = saved
+    return asked, labeled
 
 
 def _adj(n, edges):
@@ -116,18 +114,23 @@ def bench_canon(mod, graphs):
         mod.canon_auto(n, _adj(n, edges))
 
 
+def bench_child(mod, children):
+    saved = _kernel._impl
+    _kernel._impl = mod
+    try:
+        for n, adj, top_level in children:
+            _kernel.canonical_child(n, adj, top_level)
+    finally:
+        _kernel._impl = saved
+
+
 def bench_gen_canon(mod, children):
     if mod is pykernel:
-        for n, adj, colors in children:
-            mod.canon_auto(n, adj, colors)
+        for n, adj, cells in children:
+            mod.canon_auto(n, adj, cells)
     else:
         for n, adj, _ in children:
             mod.canon_auto(n, adj)
-
-
-def bench_root(children):
-    for n, adj, top_level in children:
-        pykernel.root_pretest(n, adj, top_level)
 
 
 def bench_pms(mod, graphs):
@@ -185,15 +188,15 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    refined, labeled = _generation_children(8)
+    asked, labeled = _generation_children(8)
     top_level = list(generate_all_graphs(8, min_degree=3, connected=True))
     twins = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
+        ("canonical child", bench_child, asked),
         ("generation labeling", bench_gen_canon, labeled),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
     ]
     python_only = [
-        ("root refinement", bench_root, refined),
         ("claw detection", bench_claw,
          [(n, _adj(n, edges)) for n, edges in _random_graphs(3, 2000, 8, 14)]),
         ("brick funnel, direct", bench_funnel_direct, top_level),

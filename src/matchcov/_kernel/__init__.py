@@ -12,20 +12,17 @@ scan) exists only in Python and has no caller, and count_pms is
 len(enumerate_pms(...)) with no caller; both stay only because the
 benchmark's layer tracer names them.
 
-root_pretest is the root refinement (pykernel.root_colors: the degree
-coloring refined to an equitable partition, where canon_auto's search
-starts) stopped as soon as it decides where vertex n-1 lies, which lets
-generation reject a child before labeling it, and accept a top-level child
-unlabeled when its new vertex is alone in the last root cell (see
-generate.py); only a child whose new vertex shares that cell is refined to
-the end.  It has no compiled twin.  A Python pretest costs about two to
-three C labelings (the root refinement and generation labeling lines of
-benchmarks/bench_kernels.py, on the children of the census's generation to
-n=8, one 2-vCPU virtual machine: about 10 us per pretest against 4-5 us per
-C canon_auto), so under the compiled kernel it returns None and
-generation labels every child that the max-degree pretest passes.  A C twin
-would save both: the labelings of rejected children, and those of the
-top-level children the census never keys.
+canonical_child is canonical deletion, the one decision generation asks of
+the kernel per child.  Only under the Python kernel does it start with the
+root pretest (pykernel.root_pretest), which has no compiled twin, since a
+Python pretest costs more than a C labeling: over the 4,730 children of
+the census's generation to n=8, the canonical child line of
+benchmarks/bench_kernels.py reads 160-300 ms under the Python kernel,
+100-190 ms of it in the 1,470 labelings (the generation labeling line), and
+18-27 ms under the compiled kernel, which labels all of them (four runs on
+one 2-vCPU virtual machine).  A C twin of the pretest would save the
+labelings of rejected children and of the top-level children the census
+never keys.
 """
 
 import os
@@ -56,18 +53,52 @@ _C_MAX_MATCH_N = 32
 _C_MAX_EDGES = 128
 
 
-def root_pretest(n, adj, top_level):
-    """pykernel.root_pretest under the Python kernel, else None (no
-    information)."""
-    return _py.root_pretest(n, adj, top_level) if _impl is _py else None
+def canonical_child(n, adj, top_level):
+    """Canonical deletion of the child with neighbor bitmasks adj, whose
+    vertex n-1 was just added (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 1998): None when it rejects vertex n-1, else
+    (gens, perm), the automorphism generators and canonical perm of the
+    labeling that kept it, or (None, None) for a top-level child kept
+    unlabeled.  It labels through this module's canon_auto.
 
+    Canonical deletion deletes the vertex at the last canonical position,
+    and the child is kept only when vertex n-1 lies in that vertex's orbit.
+    The labeling's search starts from the root cells (pykernel.root_cells:
+    the degree cells refined to an equitable partition), and refinement and
+    individualization only split cells without reordering them, so the last
+    canonical vertex and its orbit lie in the last root cell, among the
+    vertices of maximum degree (McKay's rule, as in nauty's geng: test a
+    cheap invariant the canonical labeling respects before running it).  So a child whose vertex n-1 lies elsewhere
+    can be rejected unlabeled.  On the top level, a child whose vertex n-1
+    is alone in the last root cell can be kept unlabeled: the last canonical
+    position lies in that cell, so it holds n-1.  Both are exact.  The top
+    level is no parent, so it needs no generators, and the census labels
+    only the children it keys (Graph.canonical_perm).
 
-def canon_auto(n, adj, colors=None):
-    """colors: pykernel.root_colors(n, adj), as root_pretest hands them on,
-    or None.  The compiled kernel computes its own, and so does its Python
-    fallback, since root_pretest gave it none."""
+    Under the Python kernel, pykernel.root_pretest stops the root
+    refinement as soon as one of the two holds, and otherwise hands the
+    root cells on to canon_auto, which does not refine them again.  Under
+    the compiled kernel every child is labeled.
+    """
+    cells = None
     if _impl is _py:
-        return _py.canon_auto(n, adj, colors)
+        cells = _py.root_pretest(n, adj, top_level)
+        if cells is False:
+            return None
+        if cells is True:
+            return None, None
+    _, perm, orbits, gens = canon_auto(n, adj, cells)
+    if orbits[n - 1] != orbits[perm[n - 1]]:
+        return None
+    return gens, perm
+
+
+def canon_auto(n, adj, cells=None):
+    """cells: pykernel.root_cells(adj), as canonical_child hands them on, or
+    None.  The compiled kernel computes its own, and so does its Python
+    fallback, since canonical_child gave it none."""
+    if _impl is _py:
+        return _py.canon_auto(n, adj, cells)
     if n > _C_MAX_CANON_N:
         return _py.canon_auto(n, adj)
     return _impl.canon_auto(n, adj)

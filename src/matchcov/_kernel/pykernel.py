@@ -1,10 +1,11 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
 The compiled kernel (ckernel.c) provides canon_auto and enumerate_pms with
-byte-identical results, within its widths.  root_colors, root_pretest,
+byte-identical results, within its widths.  root_cells, root_pretest,
 is_claw_free and first_tight_cut exist only here; first_tight_cut has no
-caller, and stays only because the benchmark's layer tracer names it.  There
-is no counting twin: a count is the length of enumerate_pms's list, and the
+caller, and stays only because the benchmark's layer tracer names it.
+root_pretest starts _kernel.canonical_child under this kernel.  There is no
+counting twin: a count is the length of enumerate_pms's list, and the
 dispatch's count_pms, which only the tracer names, is that one line.
 Everything here works on primitive data: a vertex count plus either
 per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
@@ -69,7 +70,7 @@ def _refine(adj, cells, changed):
     the first changed cell down to the least significant one of the last,
     the members with the bit clear first.  So the parts come out sorted by
     the tuple of counts, as a sort on that tuple would order them.  The
-    caller names the changed cells of the first round (root_colors names
+    caller names the changed cells of the first round (root_cells names
     them all); after it, they are the parts of the cells that split.
 
     This is the splitting-cell refinement of McKay & Piperno ("Practical
@@ -129,25 +130,6 @@ def _individualize(adj, cells, c0, v):
     return _refine(adj, out, changed)
 
 
-def _cells(colors):
-    """Cell bitmasks, in color order, of colors using every value from 0 to
-    max(colors)."""
-    cells = [0] * (max(colors) + 1)
-    for v, c in enumerate(colors):
-        cells[c] |= 1 << v
-    return cells
-
-
-def _colors(n, cells):
-    colors = [0] * n
-    for c, cell in enumerate(cells):
-        while cell:
-            low = cell & -cell
-            cell ^= low
-            colors[low.bit_length() - 1] = c
-    return colors
-
-
 def _degree_cells(adj):
     by_degree = {}
     for v, a in enumerate(adj):
@@ -156,17 +138,17 @@ def _degree_cells(adj):
     return [by_degree[d] for d in sorted(by_degree)]
 
 
-def root_colors(n, adj):
-    """The coloring canon_auto's search starts from: degrees refined to an
-    equitable partition."""
+def root_cells(adj):
+    """The ordered partition canon_auto's search starts from: degrees
+    refined to an equitable partition, as cell bitmasks."""
     cells = _degree_cells(adj)
-    return _colors(n, _refine(adj, cells, cells))
+    return _refine(adj, cells, cells)
 
 
 def root_pretest(n, adj, top_level):
     """Where the root refinement puts vertex n-1, decided as early as it is
     decided: False once n-1 leaves the last cell, True on the top level once
-    n-1 is alone in it, and otherwise root_colors(n, adj).
+    n-1 is alone in it, and otherwise root_cells(adj).
 
     Refinement only splits cells, in place, so the last cell only shrinks:
     a vertex that leaves it never returns, and one alone in it stays last.
@@ -179,7 +161,7 @@ def root_pretest(n, adj, top_level):
         if top_level and cells[-1] == bit:
             return True
         if not changed:
-            return _colors(n, cells)
+            return cells
         cells, changed = _split(adj, cells, changed)
 
 
@@ -195,7 +177,7 @@ def _cert_bits(n, adj, perm):
     return bytes([n]) + bytes(bits)
 
 
-def canon_auto(n, adj, colors=None):
+def canon_auto(n, adj, cells=None):
     """Canonical certificate of a simple graph given as neighbor bitmasks.
 
     Returns (cert, perm, orbits, gens): cert is permutation-invariant bytes,
@@ -219,17 +201,17 @@ def canon_auto(n, adj, colors=None):
     one automorphism into each child it tries in the first child's orbit),
     so neither do the orbits.
 
-    colors, when given, must be root_colors(n, adj), computed once by the
+    cells, when given, must be root_cells(adj), computed once by the
     caller.  The search starts from them, and refinement and
-    individualization only split color cells, never reorder them.  So
-    perm[-1] and its whole orbit lie in the last cell of the root coloring,
-    among the vertices of maximum degree.  Generation relies on this (see
-    generate.py).
+    individualization only split cells, never reorder them.  So perm[-1]
+    and its whole orbit lie in the last root cell, among the vertices of
+    maximum degree.  Canonical deletion relies on this (see
+    _kernel.canonical_child).
     """
     if n == 0:
         return b"\x00", (), (), ()
-    if colors is None:
-        colors = root_colors(n, adj)
+    if cells is None:
+        cells = root_cells(adj)
 
     best = [None, None]        # cert, perm
     first = [None, None, None]  # cert, perm, path
@@ -313,7 +295,7 @@ def canon_auto(n, adj, colors=None):
             tried.add(v)
         return None
 
-    search(_cells(colors), [])
+    search(cells, [])
     orbits = tuple(find(v) for v in range(n))
     return best[0], tuple(best[1]), orbits, tuple(autos)
 

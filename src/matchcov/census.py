@@ -369,8 +369,11 @@ def summary_dict(summary):
 def emit_report(summary, records, fmt="jsonl", path=None):
     """One line per record plus a trailing summary block.
 
-    Written to path when one is given, else returned as a string.
+    Written to path when one is given, else returned as a string.  An
+    unknown fmt raises MatchcovError before path is opened.
     """
+    if fmt not in ("jsonl", "csv"):
+        raise MatchcovError(f"unknown report format {fmt!r}")
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(_report_lines(summary, records, fmt))
@@ -384,7 +387,7 @@ def _report_lines(summary, records, fmt):
             yield json.dumps(vars(rec), sort_keys=True) + "\n"
         yield json.dumps({"summary": summary_dict(summary)},
                          sort_keys=True, default=list) + "\n"
-    elif fmt == "csv":
+    else:
         yield CSV_HEADER + "\n"
         for rec in records:
             # the g6 field is always quoted; its charset is 63..126 so
@@ -397,5 +400,3 @@ def _report_lines(summary, records, fmt):
                 f'"{";".join(rec.tags)}"']) + "\n"
         for key, val in sorted(summary_dict(summary).items()):
             yield f"# {key}={json.dumps(val, sort_keys=True, default=list)}\n"
-    else:
-        raise MatchcovError(f"unknown report format {fmt!r}")

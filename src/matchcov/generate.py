@@ -1,11 +1,12 @@
 """Exhaustive generation of simple graphs, one per isomorphism class.
 
-Canonical augmentation: level k graphs are built from level k-1 parents by
-adding one vertex with every neighborhood (deduplicated up to the parent's
-automorphisms), keeping a child only when the added vertex lies in the same
-automorphism orbit as the vertex the canonical labeling would delete.  Each
-isomorphism class is produced exactly once, with no global seen-set, so the
-scan order is deterministic and levels are cheap to cache.
+Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998): level k graphs are built from level k-1 parents by
+adding one vertex with every neighborhood, deduplicated up to the parent's
+automorphisms, and a child is kept only when canonical deletion picks the
+added vertex (_kernel.canonical_child).  Each isomorphism class is produced
+exactly once, with no global seen-set, so the scan order is deterministic
+and levels are cheap to cache.
 
 One loop, CanonicalAugmenter._augment, builds every level.  It runs over
 the neighborhoods s of the new vertex in ascending order and applies the
@@ -13,7 +14,8 @@ cheap tests (the edges min_degree forces, min_degree, the max-degree pretest
 below) before any orbit work.  The parent's automorphisms preserve |s| and
 vertex degrees, so an orbit passes these tests whole or not at all: the first
 s of an orbit to pass is its smallest member, and only that s has its orbit
-walked and marked seen.  The root-cell pretest below comes after that walk.
+walked and marked seen.  After that walk, one kernel call decides canonical
+deletion.
 
 final_level, the one way into a level, keeps each level with a floor: the
 level holds every class with minimum degree at least its floor, in the order
@@ -29,36 +31,18 @@ the top down, as the census draws them, the levels are built once; drawn
 from the bottom up, each level is built as the top level and again as a
 parent.
 
-Only children whose new vertex has maximum degree reach canon_auto.  The
-labeling starts from degree colors, and refinement and individualization
-only split color cells without reordering them, so the vertex at the last
-canonical position always has maximum degree.  Vertices in one orbit have
-equal degree, so a child whose new vertex falls short of the maximum would
-fail the canonical-deletion test anyway: skipping it is exact.
+Only children whose new vertex has maximum degree reach canonical
+deletion.  The canonical labeling puts a vertex of maximum degree last (see
+_kernel.canonical_child), and automorphisms preserve degree, so canonical
+deletion would reject a child whose new vertex falls short of the maximum:
+skipping it is exact.
 
-The same argument holds for the root coloring, the degree coloring refined
-to an equitable partition, which is where canon_auto's search starts (McKay's
-rule, as in nauty's geng: test a cheap invariant the canonical labeling
-respects before running it).  The vertex at the last canonical position lies
-in the last root cell, and so does its orbit, so a child whose new vertex
-lies elsewhere is skipped unlabeled.  This root-cell pretest
-(_kernel.root_pretest) stops the refinement as soon as it decides: the
-refinement only splits cells in place, so the last cell only shrinks, and
-the child is rejected once its new vertex leaves it.  A child that passes
-hands its root colors on to canon_auto, which does not refine them again.
-Under the compiled kernel the pretest gives no information, and every child
-the max-degree pretest passes is labeled.
+On the top level, canonical deletion may keep a child unlabeled.  The top
+level is no parent, so it needs no generators, and the census later labels
+only those of these children that pass its funnel (Graph.canonical_perm).
 
-On the top level, a child whose new vertex is alone in the last root cell
-is accepted unlabeled, and the pretest stops as soon as that holds, before
-or after any round: the last canonical position lies in that cell, so it
-holds the new vertex, and canonical deletion passes.  This is exact.  The
-top level is no parent, so it needs no generators, and the census later
-labels only those of these children that pass its funnel
-(Graph.canonical_perm).  Under the compiled kernel every child is labeled.
-
-Each labeled child keeps the canonical perm of the canon_auto call that
-accepted it, and generate_all_graphs hands it on as Graph.canonical_perm, so
+Each labeled child keeps the canonical perm of the labeling that accepted
+it, and generate_all_graphs hands it on as Graph.canonical_perm, so
 canonical_graph6, the census key, labels no labeled graph again.
 """
 
@@ -81,9 +65,8 @@ class CanonicalAugmenter:
     def _augment(self, n, min_degree, top_level=False):
         """Accepted children on n vertices with minimum degree at least
         min_degree, as (adjacency, automorphism generators, canonical perm).
-        On the top level, a child whose new vertex is alone in the last root
-        cell is accepted unlabeled: its generators and perm are None.  Level
-        n-1 must be kept with a floor of at most min_degree - 1."""
+        On the top level, a child accepted unlabeled has None for both.
+        Level n-1 must be kept with a floor of at most min_degree - 1."""
         out = []
         for parent_adj, autos, _ in self._levels[n - 1][1]:
             # every parent vertex short of min_degree must gain the new edge
@@ -114,19 +97,9 @@ class CanonicalAugmenter:
                             seen[img] = 1
                             stack.append(img)
                 adj = tuple(a | (s >> i & 1) << (n - 1) for i, a in enumerate(parent_adj)) + (s,)
-                colors = _kernel.root_pretest(n, adj, top_level)
-                if colors is False:
-                    continue  # the new vertex is outside the last root cell
-                if colors is True:
-                    # the last canonical position holds the new vertex
-                    out.append((adj, None, None))
-                    continue
-                _, perm, orbits, gens = _kernel.canon_auto(n, adj, colors)
-                # canonical deletion: the vertex at the last canonical position;
-                # the child survives only when the freshly added vertex is in
-                # its orbit
-                if orbits[n - 1] == orbits[perm[n - 1]]:
-                    out.append((adj, gens, perm))
+                kept = _kernel.canonical_child(n, adj, top_level)
+                if kept is not None:
+                    out.append((adj, *kept))
         return out
 
     def classes(self, n):

@@ -284,6 +284,16 @@ def _spans(adj, alive):
     return _reach(adj, alive & -alive, alive) == alive
 
 
+def _components(adj, alive):
+    """The components of the subgraph that the vertex bit set `alive`
+    induces over the adjacency bitmasks `adj`, as bit sets, in the order of
+    their lowest vertices."""
+    while alive:
+        comp = _reach(adj, alive & -alive, alive)
+        yield comp
+        alive ^= comp
+
+
 def is_bipartite(g):
     color = [None] * g.n
     adj = g.adj

@@ -16,7 +16,7 @@ parent P from tables built once over P, the second from such a memo over P.
 """
 
 from .errors import PreconditionError
-from .graph import (MAX_EXACT_N, _check_size, _reach, _spans, bridges,
+from .graph import (MAX_EXACT_N, _check_size, _components, _spans, bridges,
                     is_connected, is_three_connected)
 
 
@@ -130,12 +130,7 @@ def child_funnel(parent_adj):
     two_connected = all(_spans(parent_adj, full ^ 1 << a) for a in range(k))
     comps = set()
     for pair in pairs if two_connected else ():
-        rest = full ^ pair
-        parts = []
-        while rest:
-            part = _reach(parent_adj, rest & -rest, rest)
-            parts.append(part)
-            rest ^= part
+        parts = list(_components(parent_adj, full ^ pair))
         if len(parts) > 1:
             comps.update(parts)
 

@@ -17,7 +17,8 @@ instead (see edges.py); decompose serves the CLI, the selftest and tests.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import _reach, _two_separator, canonical_form, contract, is_bipartite
+from .graph import (_components, _reach, _two_separator, canonical_form, contract,
+                    is_bipartite)
 from .matching import _covered_memo, _existence_memo, _unmatched
 
 
@@ -97,12 +98,9 @@ def _barrier_shore(g, has_pm):
     full = (1 << g.n) - 1
     barrier = sum(1 << w for w in range(g.n)
                   if w == pair[0] or not has_pm(full & ~(1 << pair[0] | 1 << w)))
-    rest = full & ~barrier
-    while rest:
-        comp = _reach(g.adj, rest & -rest, rest)
+    for comp in _components(g.adj, full & ~barrier):
         if comp.bit_count() >= 3:
             return comp
-        rest &= ~comp
     raise AssertionError("a maximal barrier left no component of 3 or more vertices")
 
 

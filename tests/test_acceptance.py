@@ -9,12 +9,13 @@ against the oracles, while the `main` verdict against the pinned four-graph
 list stays FAIL.  See README "A genuine finding".
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations
 
 from matchcov.catalog import FAMILY_G, catalog
-from matchcov.census import CensusConfig, family_g_certs, run_census
+from matchcov.census import CensusConfig, emit_report, family_g_certs, run_census
 from matchcov.edges import classify_all, is_removable, triangle_nonremovable_edges
 from matchcov.generate import CanonicalAugmenter, generate_all_graphs
 from matchcov.graph import (build, bridges, canonical_graph6, delete_edge,
@@ -100,15 +101,23 @@ def test_criterion_3_main_theorem_census():
              ok, time.monotonic() - t0, 900)
 
 
+# sha256 of the JSONL report of criterion 4's census: every one of its 2,102
+# brick records, tags included, and the summary, under either kernel
+THM11_N8_REPORT_SHA256 = "917c77d35598ccef8516c144128c5f35ad159e55c5c724f408b575a55cb76ad2"
+
+
 def test_criterion_4_two_b_invariant_edges_census():
     t0 = time.monotonic()
-    summary, _ = run_census(CensusConfig(max_n=8, checks=("thm11",)))
+    summary, records = run_census(CensusConfig(max_n=8, checks=("thm11",)))
     ok = summary.thm11_pass is True and not summary.thm11_violations
     ok &= summary.totals == {"input": 2762, "connected": 2762, "min_degree_3": 2762,
                              "three_connected": 2406, "brick": 2102,
                              "claw_free_brick": 373}
+    ok &= len(records) == 2102
+    ok &= hashlib.sha256(emit_report(summary, records).encode()).hexdigest() == \
+        THM11_N8_REPORT_SHA256
     _verdict(4, "every brick to n=8 beyond the four exceptions has >= 2 "
-                "b-invariant edges, from the pinned funnel totals", ok,
+                "b-invariant edges, from the pinned funnel totals and records", ok,
              time.monotonic() - t0, 300)
 
 

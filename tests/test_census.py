@@ -46,10 +46,16 @@ def test_config_validation():
         CensusConfig(max_n=4, jobs=0).validate()
 
 
-def test_unknown_report_format():
+def test_unknown_report_format(tmp_path):
     summary, records = run_census(CensusConfig(max_n=4, checks=("thm11",)))
     with pytest.raises(MatchcovError):
         emit_report(summary, records, fmt="xml")
+    # refused before the file is opened, so the file keeps its bytes
+    path = tmp_path / "report.xml"
+    path.write_bytes(b"precious\n")
+    with pytest.raises(MatchcovError):
+        emit_report(summary, records, fmt="xml", path=str(path))
+    assert path.read_bytes() == b"precious\n"
 
 
 def test_ingest_graph6(tmp_path):
@@ -260,9 +266,9 @@ def labeled(monkeypatch):
     calls = []
     labeler = matchcov._kernel.canon_auto
 
-    def counting(n, adj, colors=None):
+    def counting(n, adj, cells=None):
         calls.append((n, tuple(adj)))
-        return labeler(n, adj, colors)
+        return labeler(n, adj, cells)
 
     monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
     return calls

@@ -33,30 +33,30 @@ def test_counts_match_burnside_oracle():
 
 def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch):
     """Generation labels a child only when its new vertex lies in the last
-    cell of the root coloring, which holds only vertices of maximum degree,
-    and hands canon_auto those root colors.  On the top level it accepts a
-    child unlabeled when its new vertex is alone in that cell, and so last
-    in canonical order; such a child carries no root colors."""
+    root cell, which holds only vertices of maximum degree, and
+    canonical_child hands canon_auto those root cells.  On the top level it
+    accepts a child unlabeled when its new vertex is alone in that cell, and
+    so last in canonical order; such a child carries no perm."""
     monkeypatch.setattr(_kernel, "_impl", _kernel._py)  # the pretest is Python's
     real = _kernel.canon_auto
     labeled = []
     verdicts = []
-    pretest = _kernel.root_pretest
+    pretest = pykernel.root_pretest
 
-    def checked(n, adj, colors=None):
-        root = pykernel.root_colors(n, adj)
-        assert colors == root and root[n - 1] == max(root)
+    def checked(n, adj, cells=None):
+        root = pykernel.root_cells(adj)
+        assert cells == root and root[-1] >> (n - 1) & 1
         assert adj[n - 1].bit_count() == max(a.bit_count() for a in adj)
         labeled.append(n)
-        return real(n, adj, colors)
+        return real(n, adj, cells)
 
     def counted(n, adj, top_level):
         verdict = pretest(n, adj, top_level)
-        verdicts.append(verdict if isinstance(verdict, bool) else "colors")
+        verdicts.append(verdict if isinstance(verdict, bool) else "cells")
         return verdict
 
     monkeypatch.setattr(_kernel, "canon_auto", checked)
-    monkeypatch.setattr(_kernel, "root_pretest", counted)
+    monkeypatch.setattr(pykernel, "root_pretest", counted)
     assert sum(1 for _ in generate_all_graphs(7)) == KNOWN_COUNTS[7]
     labeled.clear()
     verdicts.clear()
@@ -67,7 +67,7 @@ def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch
     assert len(labeled) == 1470 and labeled.count(8) == 785
     # of the 4,730 children that reach the pretest, 1,433 are rejected and
     # 1,827 accepted unlabeled, each as soon as the refinement decides it
-    assert Counter(verdicts) == {False: 1433, True: 1827, "colors": 1470}
+    assert Counter(verdicts) == {False: 1433, True: 1827, "cells": 1470}
     # the top level again, without the connectivity filter: of the 2,612
     # children in the last root cell, 785 labeled and 1,827 accepted unlabeled
     labeled.clear()
@@ -77,14 +77,13 @@ def test_only_children_with_the_new_vertex_at_max_degree_are_labeled(monkeypatch
     for adj in unlabeled:
         g = _adj_to_graph(adj, None)
         assert "canonical_perm" not in vars(g)
-        colors = pykernel.root_colors(8, adj)
-        assert colors.count(colors[7]) == 1 and colors[7] == max(colors)
+        assert pykernel.root_cells(adj)[-1] == 1 << 7
         assert g.canonical_perm[-1] == 7
 
 
 def test_root_pretest_stops_where_the_root_colors_decide():
-    """root_pretest gives the verdict the full root coloring gives on the
-    place of vertex n-1, or the root colors when they leave it open."""
+    """root_pretest gives the verdict the full root refinement gives on the
+    place of vertex n-1, or the root cells when they leave it open."""
     rng = random.Random(17)
     for _ in range(2000):
         n = rng.randrange(1, 13)
@@ -95,12 +94,12 @@ def test_root_pretest_stops_where_the_root_colors_decide():
                 if rng.random() < p:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-        colors = pykernel.root_colors(n, adj)
-        last = max(colors)
+        cells = pykernel.root_cells(adj)
+        bit = 1 << (n - 1)
         for top_level in (False, True):
-            want = (False if colors[n - 1] != last
-                    else True if top_level and colors.count(last) == 1
-                    else colors)
+            want = (False if not cells[-1] & bit
+                    else True if top_level and cells[-1] == bit
+                    else cells)
             assert pykernel.root_pretest(n, adj, top_level) == want
 
 

@@ -14,7 +14,7 @@ from matchcov.graph import (Graph, add_edge, automorphism_orbits, bridges, build
                             delete_edge, delete_vertices, is_bipartite,
                             is_claw_free, is_connected, is_isomorphic,
                             is_three_connected, parse_graph6, to_graph6,
-                            underlying_simple, _relabeled)
+                            underlying_simple, _components, _relabeled)
 
 import oracles
 
@@ -160,6 +160,20 @@ def test_connected_bipartite_match_reference():
         h = oracles.to_nx_simple(g)
         assert is_connected(g) == nx.is_connected(h)
         assert is_bipartite(g) == nx.is_bipartite(h)
+
+
+def test_components_match_reference():
+    """_components lists the components of the induced subgraph, each once,
+    by lowest vertex."""
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        g = build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.05, 0.4)))
+        alive = rng.getrandbits(n)
+        h = oracles.to_nx_simple(g).subgraph(v for v in range(n) if alive >> v & 1)
+        want = sorted((sum(1 << v for v in c) for c in nx.connected_components(h)),
+                      key=lambda c: c & -c)
+        assert list(_components(g.adj, alive)) == want
 
 
 def test_bridges_match_reference():

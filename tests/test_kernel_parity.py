@@ -140,16 +140,16 @@ def test_generators_span_the_automorphism_group_compiled(ckernel):
 
 
 def _draw_labelings(monkeypatch):
-    """(n, adj, colors) of each labeling generation asks for in the census's
+    """(n, adj, cells) of each labeling generation asks for in the census's
     draw to n=8 under the Python kernel, then (8, adj, None) of each drawn
     top-level graph it accepts unlabeled."""
     monkeypatch.setattr(_kernel, "_impl", pykernel)
     calls = []
     real = _kernel.canon_auto
 
-    def recording(n, adj, colors=None):
-        calls.append((n, adj, colors))
-        return real(n, adj, colors)
+    def recording(n, adj, cells=None):
+        calls.append((n, adj, cells))
+        return real(n, adj, cells)
 
     monkeypatch.setattr(_kernel, "canon_auto", recording)
     aug = CanonicalAugmenter()
@@ -165,8 +165,8 @@ def test_draw_labelings_are_pinned(ckernel, monkeypatch):
     assert len(labelings) == 1470 + 1827
     for kernel in (pykernel, ckernel):
         digest = hashlib.sha256()
-        for n, adj, colors in labelings:
-            result = (pykernel.canon_auto(n, adj, colors) if kernel is pykernel
+        for n, adj, cells in labelings:
+            result = (pykernel.canon_auto(n, adj, cells) if kernel is pykernel
                       else ckernel.canon_auto(n, adj))
             digest.update(repr(result[:3]).encode())
         assert digest.hexdigest() == DRAW_LABELINGS_DIGEST, kernel.BACKEND_NAME
@@ -178,14 +178,13 @@ def _graphs_to_label():
 
 
 def _assert_last_position_has_max_degree(kernel):
-    # generation skips every child whose new vertex is outside the last cell
-    # of the root coloring, and that cell holds only vertices of maximum degree
+    # canonical_child rejects every child whose new vertex is outside the
+    # last root cell, and that cell holds only vertices of maximum degree
     for n, adj in _graphs_to_label():
         _, perm, orbits, _ = kernel.canon_auto(n, adj)
-        colors = pykernel.root_colors(n, adj)
-        last = max(colors)
+        last = pykernel.root_cells(adj)[-1]
         assert adj[perm[-1]].bit_count() == max(a.bit_count() for a in adj)
-        assert all(colors[v] == last for v in range(n) if orbits[v] == orbits[perm[-1]])
+        assert all(last >> v & 1 for v in range(n) if orbits[v] == orbits[perm[-1]])
 
 
 def test_canon_puts_a_max_degree_vertex_last():
@@ -198,8 +197,27 @@ def test_canon_puts_a_max_degree_vertex_last_compiled(ckernel):
 
 def test_canon_from_given_root_colors_is_canon():
     for n, adj in _graphs_to_label():
-        assert pykernel.canon_auto(n, adj, pykernel.root_colors(n, adj)) == \
+        assert pykernel.canon_auto(n, adj, pykernel.root_cells(adj)) == \
             pykernel.canon_auto(n, adj)
+
+
+def _cells_of(colors):
+    """Cell bitmasks, in color order, of colors using every value from 0 to
+    max(colors)."""
+    cells = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    return cells
+
+
+def _colors_of(n, cells):
+    """The coloring, as oracles.ref_refine gives it, of ordered cells."""
+    colors = [0] * n
+    for c, cell in enumerate(cells):
+        for v in range(n):
+            if cell >> v & 1:
+                colors[v] = c
+    return colors
 
 
 def _random_coloring(rng, n):
@@ -226,27 +244,42 @@ def test_refine_matches_round_by_round_reference():
         degrees = [a.bit_count() for a in adj]
         by_degree = [sorted(set(degrees)).index(d) for d in degrees]
         for start in (by_degree, [0] * n, _random_coloring(rng, n)):
-            cells = pykernel._cells(start)
-            assert pykernel._colors(n, pykernel._refine(adj, cells, cells)) == \
+            cells = _cells_of(start)
+            assert _colors_of(n, pykernel._refine(adj, cells, cells)) == \
                 oracles.ref_refine(n, adj, start)
-        root = pykernel.root_colors(n, adj)
+        cells = pykernel.root_cells(adj)
+        root = _colors_of(n, cells)
         assert root == oracles.ref_refine(n, adj, by_degree)
-        cells = pykernel._cells(root)
         for v in range(n):
             c0 = root[v]
             if root.count(c0) > 1:
                 sub = [c + (c > c0 or (c == c0 and u != v)) for u, c in enumerate(root)]
-                assert pykernel._colors(n, pykernel._individualize(adj, cells, c0, v)) == \
+                assert _colors_of(n, pykernel._individualize(adj, cells, c0, v)) == \
                     oracles.ref_refine(n, adj, sub)
 
 
+def test_canonical_child_keeps_what_the_orbit_test_keeps(ckernel, monkeypatch):
+    """canonical_child, under either kernel, keeps a child exactly when its
+    vertex n-1 lies in the orbit of the last canonical vertex, with that
+    labeling's generators and perm; a top-level child it keeps unlabeled
+    passes the same test."""
+    for n, edges in _cases(457, 600, max_n=10):
+        adj = _adj(n, edges)
+        _, perm, orbits, gens = pykernel.canon_auto(n, adj)
+        want = (gens, perm) if orbits[n - 1] == orbits[perm[n - 1]] else None
+        for kernel in (pykernel, ckernel):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            assert _kernel.canonical_child(n, adj, False) == want
+            got = _kernel.canonical_child(n, adj, True)
+            assert got == want or (want is not None and got == (None, None))
+
+
 def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
-    """Under the compiled kernel, root_pretest gives no information, so
+    """Under the compiled kernel, canonical_child runs no root pretest, so
     generation labels every child the max-degree pretest passes, and neither
-    the compiled canon_auto nor its Python fallback gets colors it did not
+    the compiled canon_auto nor its Python fallback gets cells it did not
     compute."""
     monkeypatch.setattr(_kernel, "_impl", ckernel)
-    assert _kernel.root_pretest(4, _adj(4, [(0, 1), (1, 2)]), True) is None
     real = ckernel.canon_auto
     calls = []
 
@@ -264,12 +297,12 @@ def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
     assert compiled == [(g.edges, g.canonical_perm) for n in range(8, 0, -1)
                         for g in generate_all_graphs(n, min_degree=3, connected=True,
                                                      augmenter=aug)]
-    # wrong colors are dropped, beyond the compiled width too
+    # wrong cells are dropped, beyond the compiled width too
     monkeypatch.setattr(_kernel, "_impl", ckernel)
     rng = random.Random(433)
     for n in range(_kernel._C_MAX_CANON_N - 2, _kernel._C_MAX_CANON_N + 4):
         adj = _adj(n, oracles.random_simple_graph(rng, n, 0.5))
-        assert _kernel.canon_auto(n, adj, [0] * n)[:3] == pykernel.canon_auto(n, adj)[:3]
+        assert _kernel.canon_auto(n, adj, [(1 << n) - 1])[:3] == pykernel.canon_auto(n, adj)[:3]
 
 
 def _few_matchings(seed, count):
@@ -363,7 +396,7 @@ def test_kernel_benchmark_script_runs():
         [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    for label in ("canonical labeling", "generation labeling", "matching enumeration",
-                  "claw detection", "brick funnel, direct", "brick funnel, tables",
-                  "matching rank", "decompose"):
+    for label in ("canonical labeling", "canonical child", "generation labeling",
+                  "matching enumeration", "claw detection", "brick funnel, direct",
+                  "brick funnel, tables", "matching rank", "decompose"):
         assert label in proc.stdout
