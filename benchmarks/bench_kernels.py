@@ -32,10 +32,17 @@ tests over its 2,589 top-level children on 8 vertices, which come from 510
 parents, built before timing: once with the direct predicates, and once
 read off each parent's tables (child_funnel), built as the census builds
 them, once per run of siblings.
+
+The host's CPU speed can change by about 1.7x within seconds, so each timed
+run happens inside perfbench/speedprobe.SpeedProbe, and a line prints the
+best run at that module's reference speed (at_reference_speed), as the
+census benchmark reports its times.
 """
 
 import argparse
+import os
 import random
+import sys
 import time
 from functools import lru_cache
 
@@ -51,6 +58,10 @@ try:
     from matchcov._kernel import ckernel
 except ImportError:
     ckernel = None
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+from speedprobe import SpeedProbe, at_reference_speed  # noqa: E402
 
 
 def _random_graphs(seed, count, n_lo, n_hi):
@@ -178,9 +189,15 @@ def run(label, fn, repeat):
 
 
 def _timed(fn):
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    """Seconds fn takes at the reference speed: its elapsed time less the
+    probe's samples inside it, rescaled by the speed sampled meanwhile."""
+    with SpeedProbe() as probe:
+        n_before = len(probe.samples)
+        t0 = time.perf_counter()
+        fn()
+        elapsed = time.perf_counter() - t0
+        inside = probe.samples[n_before:]
+    return at_reference_speed(elapsed, sum(inside), probe.samples)
 
 
 def main():

@@ -17,10 +17,10 @@ the kernel per child.  Only under the Python kernel does it start with the
 root pretest (pykernel.root_pretest), which has no compiled twin, since a
 Python pretest costs more than a C labeling: over the 4,730 children of
 the census's generation to n=8, the canonical child line of
-benchmarks/bench_kernels.py reads 160-300 ms under the Python kernel,
-100-190 ms of it in the 1,470 labelings (the generation labeling line), and
-18-27 ms under the compiled kernel, which labels all of them (four runs on
-one 2-vCPU virtual machine).  A C twin of the pretest would save the
+benchmarks/bench_kernels.py reads 185-215 ms under the Python kernel,
+120-135 ms of it in the 1,470 labelings (the generation labeling line), and
+17-22 ms under the compiled kernel, which labels all of them (eight runs on
+one 2-vCPU virtual machine, at the benchmark's reference speed).  A C twin of the pretest would save the
 labelings of rejected children and of the top-level children the census
 never keys.
 """

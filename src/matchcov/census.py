@@ -2,15 +2,22 @@
 
 The pipeline per graph is: connected -> min degree 3 -> 3-connected ->
 bicritical (brick) -> optional claw-free -> full edge classification.  A
-generated graph is its parent P plus the added vertex n-1, and the children
-of one parent arrive one after another, so its 3-connected and bicritical
-tests read tables built once per parent (matching.child_funnel).  An input
-graph is tested directly (is_three_connected, is_bicritical): it shares no
-parent with the graphs beside it, and for a lone child the tables cost more
-than the direct tests.  Bricks have even order, so a census to an odd max_n
-builds no level max_n, which the funnel would drop whole: its totals count
-the levels below, and its verdict still reads verified up to max_n.  Two
-verdicts are supported:
+generated graph is its parent plus the added vertex n-1, and siblings arrive
+one after another, so its 3-connected and bicritical tests read tables built
+once per parent (matching.child_funnel).  An input graph shares no parent
+with the graphs beside it and is tested directly.  Bricks have even order, so
+a census to an odd max_n builds no level max_n: its totals count the levels
+below, and its verdict still reads verified up to max_n.
+
+Each brick is canonically labeled once (by generation, which hands the
+labeling on with the graph, or in the funnel), and its canonical graph6 keys
+its record, the cache and the report order, so reports are byte-stable across
+runs and worker counts.  Leaving the funnel, a brick becomes its cached record
+or what classification takes, so no graph outlives the funnel; input files
+are read one at a time, after generation.  CensusRecord alone holds the row
+schema: a cache hit and classification each give one, and the report and
+cache lines are written from its fields.  The cache is an append-only JSONL
+file, one line per record, without the tags.  Two verdicts are supported:
 
   main   among claw-free bricks excluding K4 and the prism, the graphs in
          which every b-invariant edge is solitary must be exactly the wheel
@@ -19,15 +26,6 @@ verdicts are supported:
          never as a proof.
   thm11  every brick other than K4, the prism, R8 and the Petersen graph has
          at least two b-invariant edges.
-
-Each surviving graph is canonically labeled once: a generated graph by
-generation, which hands that labeling on with the graph, and an input graph,
-or a top-level graph generation accepted unlabeled, in the funnel.  Its canonical graph6 keys its record, the cache and the
-report order, so reports are byte-stable across runs and worker counts.  The
-row schema lives in CensusRecord alone: classification returns one, a cache
-hit becomes one, and the report lines and cache lines are written from its
-fields.  The cache is an append-only JSONL file with one line per record,
-without the tags.
 """
 
 import json
@@ -70,6 +68,14 @@ class CensusConfig:
             raise MatchcovError("census needs a built-in max_n or graph6 input files")
         if self.jobs < 1:
             raise MatchcovError(f"jobs must be at least 1, got {self.jobs}")
+        if self.cache_path and any(same_file(self.cache_path, p) for p in self.inputs):
+            raise MatchcovError(f"the cache {self.cache_path} is also an input file")
+
+
+def same_file(a, b):
+    """Whether paths a and b name one file, by real path or, if both exist, inode."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 @dataclass(frozen=True)
@@ -240,16 +246,22 @@ def run_census(cfg):
               "three_connected": 0, "brick": 0, "claw_free_brick": 0}
     skipped = []
     errors = []
-    # canonical graph6 -> (claw_free, graph, path, line_number); a repeated
-    # graph is classified once
-    survivors = {}
+    # each brick as it left the funnel, by canonical graph6: its cached record
+    # or what _classify_worker takes; a repeat keeps the first place, last payload
+    hits = {}
+    payloads = {}
     max_n_seen = 0
+    for path in cfg.inputs:     # a missing input fails before generation
+        open(path, "rb").close()
+    cache_skips = []
+    cache = _load_cache(cfg.cache_path, cache_skips)
 
     # siblings arrive one after another, so one parent's tables at a time
     parent_funnel = lru_cache(maxsize=1)(child_funnel)
 
-    def feed(path, numbered_graphs, generated=False):
+    def feed(path, numbered_graphs, skips=(), generated=False):
         nonlocal max_n_seen
+        skipped.extend((path, lineno, msg) for lineno, msg in skips)
         for lineno, g in numbered_graphs:
             totals["input"] += 1
             max_n_seen = max(max_n_seen, g.n)
@@ -279,16 +291,15 @@ def run_census(cfg):
                 continue
             totals["brick"] += 1
             cf = is_claw_free(g)
-            if cf:
-                totals["claw_free_brick"] += 1
+            totals["claw_free_brick"] += cf
             if cfg.claw_free_only and not cf:
                 continue
-            survivors[canonical_graph6(g)] = (cf, g, path, lineno)
+            key = canonical_graph6(g)
+            if key in cache:
+                hits[key] = CensusRecord(**cache[key])
+            else:
+                payloads[key] = (key, cf, g.n, g.edges, path, lineno)
 
-    # read every input before generation, so a bad one fails fast
-    ingested = [(path, *ingest_graph6(path)) for path in cfg.inputs]
-    cache_skips = []
-    cache = _load_cache(cfg.cache_path, cache_skips)
     if cfg.max_n:
         # top level first: building it builds and keeps every level below,
         # which the later draws then only filter.  Bricks have even order, so
@@ -299,32 +310,22 @@ def run_census(cfg):
                 n, min_degree=3, connected=True, augmenter=aug), start=1),
                  generated=True)
         max_n_seen = max(max_n_seen, cfg.max_n)
-    for path, graphs, skips in ingested:
-        skipped.extend((path, lineno, msg) for lineno, msg in skips)
-        feed(path, graphs)
+    for path in cfg.inputs:
+        feed(path, *ingest_graph6(path))
     skipped.extend(cache_skips)
 
-    records = []
-    payloads = []
-    for key, (cf, g, path, lineno) in survivors.items():
-        if key in cache:
-            records.append(CensusRecord(**cache[key]))
-        else:
-            payloads.append((key, cf, g.n, g.edges, path, lineno))
-
-    if payloads:
-        if cfg.jobs > 1:
-            with multiprocessing.Pool(cfg.jobs) as pool:
-                fresh = pool.map(_classify_worker, payloads, chunksize=8)
-        else:
-            fresh = [_classify_worker(p) for p in payloads]
-        errors.extend(r for r in fresh if not isinstance(r, CensusRecord))
-        fresh = [r for r in fresh if isinstance(r, CensusRecord)]
-        records.extend(fresh)
-        if cfg.cache_path:
-            with open(cfg.cache_path, "a", encoding="utf-8") as fh:
-                fh.writelines(_cache_line(rec) for rec in fresh)
-    records.sort(key=lambda rec: rec.g6)   # the verdict tuples below keep this order
+    if cfg.jobs > 1 and payloads:
+        with multiprocessing.Pool(cfg.jobs) as pool:
+            fresh = pool.map(_classify_worker, payloads.values(), chunksize=8)
+    else:
+        fresh = [_classify_worker(p) for p in payloads.values()]
+    errors.extend(r for r in fresh if not isinstance(r, CensusRecord))
+    fresh = [r for r in fresh if isinstance(r, CensusRecord)]
+    if cfg.cache_path and payloads:
+        with open(cfg.cache_path, "a", encoding="utf-8") as fh:
+            fh.writelines(_cache_line(rec) for rec in fresh)
+    # the verdict tuples below keep this order
+    records = sorted([*hits.values(), *fresh], key=lambda rec: rec.g6)
 
     summary = VerdictSummary(totals=totals, max_n_seen=max_n_seen,
                              skipped_inputs=tuple(skipped), errors=tuple(errors))
@@ -357,7 +358,7 @@ def _tagged(rec, summary):
         tags.append("every-b-invariant-solitary")
     if rec.g6 in summary.thm11_violations:
         tags.append("thm11-violation")
-    return replace(rec, tags=tuple(tags))
+    return replace(rec, tags=tuple(tags)) if tags else rec
 
 
 def summary_dict(summary):

@@ -15,7 +15,7 @@ from ._kernel import BACKEND
 from .catalog import catalog as named_graph
 from .catalog import entry as catalog_entry
 from .catalog import names as catalog_names
-from .census import CensusConfig, emit_report, run_census
+from .census import CensusConfig, emit_report, run_census, same_file
 from .edges import classify_all
 from .errors import (CapacityError, CatalogError, Graph6Error, GraphBuildError,
                      MatchcovError, PreconditionError)
@@ -126,6 +126,8 @@ def cmd_census(args):
         jobs=args.jobs,
         cache_path=args.cache or "",
     )
+    if args.out and any(same_file(args.out, p) for p in (args.cache, *args.inputs) if p):
+        raise MatchcovError(f"the report {args.out} is also the cache or an input file")
     for path in (args.out, args.cache):
         if path:
             _check_output_path(path)

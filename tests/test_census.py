@@ -1,8 +1,12 @@
 """Census pipeline, verdicts, reports, and the cache."""
 
+import gc
 import hashlib
 import json
+import os
 from collections import Counter
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from matchcov import census
 from matchcov.catalog import FAMILY_G, catalog
 from matchcov.census import (CensusConfig, CensusRecord, emit_report,
                              family_g_certs, ingest_graph6, run_census, summary_dict)
+from matchcov.edges import classify_all
 from matchcov.errors import CapacityError, MatchcovError
 from matchcov.generate import CanonicalAugmenter, _adj_to_graph, generate_all_graphs
 from matchcov.graph import Graph, canonical_graph6, is_three_connected, parse_graph6
@@ -365,3 +370,84 @@ def test_cache_lines_keep_their_format(tmp_path):
     assert old_cache.read_text() == "".join(CACHE_LINES)
     assert r2 == r1
     assert emit_report(s2, r2) == emit_report(s1, r1)
+
+
+# the 150 lines of perfbench's bricks-n10-12 corpus at seed 0
+# (perfbench/workloads.corpus_lines(0)): graphs on 10 and 12 vertices, 80 of
+# them bricks
+CORPUS = Path(__file__).with_name("bricks_n10_12.g6")
+# sha256 of the JSONL report of `census --in <CORPUS> --check thm11`, which
+# perfbench's gate pins for that workload at every seed
+CORPUS_REPORT_SHA256 = "677023b956e5af136252a25c70196b2e86e2fdd262eb26f47a629cff83a149fc"
+
+
+def _report_sha256(cfg):
+    return hashlib.sha256(emit_report(*run_census(cfg)).encode()).hexdigest()
+
+
+def test_corpus_census_is_pinned_cold_and_half_warm(tmp_path):
+    """The corpus report is the same from no cache and from a cache that the
+    corpus's first 75 lines filled, which then gains the other bricks' rows."""
+    cfg = CensusConfig(inputs=(str(CORPUS),), checks=("thm11",))
+    assert _report_sha256(cfg) == CORPUS_REPORT_SHA256
+    half = tmp_path / "half.g6"
+    half.write_text("".join(CORPUS.read_text().splitlines(keepends=True)[:75]))
+    cache = tmp_path / "cache.jsonl"
+    run_census(CensusConfig(inputs=(str(half),), checks=("thm11",), cache_path=str(cache)))
+    assert len(cache.read_text().splitlines()) == 43
+    assert _report_sha256(replace(cfg, cache_path=str(cache))) == CORPUS_REPORT_SHA256
+    assert len(cache.read_text().splitlines()) == 43 + 37
+
+
+def test_corpus_brick_classes_are_pinned():
+    """Every edge class of the 80 corpus bricks, in input order."""
+    graphs = [(line, parse_graph6(line)) for line in CORPUS.read_text().split()]
+    bricks = [(line, g) for line, g in graphs if is_brick(g)]
+    assert len(bricks) == 80
+    ledger = json.dumps([(line, [astuple(c) for c in classify_all(g).classes])
+                         for line, g in bricks])
+    assert hashlib.sha256(ledger.encode()).hexdigest() == \
+        "80dbc72a51b5c338399ba7c2b595f964f14aa0b462f5700028f2bc60f2cfe655"
+
+
+def _graphs_alive_when_tagging(monkeypatch, cfg):
+    """How many Graph instances born in run_census(cfg) are alive when it
+    tags its first record, after the funnel and classification."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if type(o) is Graph]   # kept, so ids stay theirs
+    old = set(map(id, before))
+    alive = []
+    tagged = census._tagged
+
+    def counting(rec, summary):
+        if not alive:
+            gc.collect()
+            alive.append(sum(type(o) is Graph and id(o) not in old for o in gc.get_objects()))
+        return tagged(rec, summary)
+
+    with monkeypatch.context() as m:
+        m.setattr(census, "_tagged", counting)
+        run_census(cfg)
+    return alive[0]
+
+
+def test_no_graph_outlives_the_funnel(tmp_path, monkeypatch):
+    """A brick leaves the funnel as its record or its classification payload:
+    neither the warm thm11 census to n=8 nor the corpus census keeps a graph."""
+    cfg = CensusConfig(max_n=8, checks=("thm11",), cache_path=str(tmp_path / "c.jsonl"))
+    run_census(cfg)
+    assert _graphs_alive_when_tagging(monkeypatch, cfg) == 0
+    corpus = CensusConfig(inputs=(str(CORPUS),), checks=("thm11",))
+    assert _graphs_alive_when_tagging(monkeypatch, corpus) == 0
+
+
+def test_the_cache_may_not_be_an_input(tmp_path):
+    path = tmp_path / "in.g6"
+    path.write_bytes(b"C~")
+    (tmp_path / "sym.g6").symlink_to(path)
+    os.link(path, tmp_path / "hard.g6")
+    for cache in (path, tmp_path / "." / "in.g6", tmp_path / "sym.g6", tmp_path / "hard.g6"):
+        cfg = CensusConfig(inputs=(str(path),), checks=("thm11",), cache_path=str(cache))
+        with pytest.raises(MatchcovError, match="is also an input file"):
+            run_census(cfg)
+        assert path.read_bytes() == b"C~"

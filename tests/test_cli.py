@@ -242,6 +242,38 @@ def test_census_checks_the_cache_path_before_it_runs(tmp_path, capsys, monkeypat
     assert "verdict" not in out
 
 
+def _census_keeps(capsys, path, *argv):
+    """Run census argv; assert it is refused and leaves path's bytes alone."""
+    before = path.read_bytes()
+    code, out, err = run(capsys, "census", *argv)
+    assert code == 2
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    assert "verdict" not in out
+    assert path.read_bytes() == before
+
+
+def test_census_report_may_not_overwrite_its_cache(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(K4_CACHE_ROW)
+    _census_keeps(capsys, cache, "--max-n", "6", "--check", "thm11",
+                  "--cache", str(cache), "--out", str(cache))
+
+
+def test_census_report_may_not_overwrite_an_input(tmp_path, capsys):
+    corpus = tmp_path / "in.g6"
+    corpus.write_text("C~\n")
+    _census_keeps(capsys, corpus, "--check", "thm11", "--in", str(corpus),
+                  "--out", str(corpus))
+
+
+def test_census_cache_may_not_be_an_input(tmp_path, capsys):
+    # a one-line corpus without its newline reads as a truncated cache line
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("C~")
+    _census_keeps(capsys, corpus, "--check", "thm11", "--in", str(corpus),
+                  "--cache", str(corpus))
+
+
 def test_census_crash_is_an_internal_error(tmp_path, capsys, monkeypatch):
     def crash(g):
         raise RuntimeError("classifier crashed")
