@@ -16,7 +16,10 @@ in turn.  Under the Python kernel it runs the root pretest and labels 1,470
 of them; under the compiled one it labels all of them.  The generation
 labeling line times canon_auto over those 1,470 children alone.  The Python
 kernel gets each child's root cells, as canonical_child hands them over; the
-compiled one gets the adjacency only.
+compiled one gets the adjacency only.  The census keys line times
+canon_auto over the 1,502 top-level bricks that generation accepts
+unlabeled, which the census labels only for their keys; each backend gets
+the adjacency alone, as Graph.canonical_perm hands it over.
 
 The claw detection line times is_claw_free over the adjacencies of 2,000
 random graphs on 8 to 14 vertices, built before timing.  The matching rank
@@ -49,7 +52,7 @@ from functools import lru_cache
 from matchcov import _kernel
 from matchcov._kernel import pykernel
 from matchcov.edges import _host_basis, _minus_edge_brick_count, classify_all
-from matchcov.generate import CanonicalAugmenter, generate_all_graphs
+from matchcov.generate import CanonicalAugmenter, _adj_to_graph, generate_all_graphs
 from matchcov.graph import build, is_three_connected
 from matchcov.matching import child_funnel, is_bicritical, is_brick
 from matchcov.tightcut import decompose
@@ -88,9 +91,10 @@ def _bricks_with_removable_edges(seed, count, n_lo, n_hi):
 def _generation_children(max_n):
     """The children generation handles under the Python kernel while the
     census's levels max_n..1 are generated: (n, adj, top level) of each it
-    asks canonical_child about, and (n, adj, root cells) of each that
-    canonical_child labels.  For max_n=8 it asks about 4,730 children and
-    labels 1,470."""
+    asks canonical_child about, (n, adj, root cells) of each that
+    canonical_child labels, and (n, adj) of each top-level brick it accepts
+    unlabeled, which the census labels for its key.  For max_n=8 it asks
+    about 4,730 children, labels 1,470 and leaves 1,502 bricks unlabeled."""
     asked, labeled = [], []
     saved = _kernel._impl, _kernel.canonical_child, _kernel.canon_auto
 
@@ -105,11 +109,13 @@ def _generation_children(max_n):
     _kernel._impl, _kernel.canonical_child, _kernel.canon_auto = pykernel, ask, label
     try:
         aug = CanonicalAugmenter()
-        for n in range(max_n, 0, -1):
-            aug.final_level(n, min_degree=3, connected=True)
+        top = [aug.final_level(n, min_degree=3, connected=True)
+               for n in range(max_n, 0, -1)][0]
     finally:
         _kernel._impl, _kernel.canonical_child, _kernel.canon_auto = saved
-    return asked, labeled
+    keys = [(max_n, adj) for adj, perm in top
+            if perm is None and is_brick(_adj_to_graph(adj, None))]
+    return asked, labeled, keys
 
 
 def _adj(n, edges):
@@ -142,6 +148,11 @@ def bench_gen_canon(mod, children):
     else:
         for n, adj, _ in children:
             mod.canon_auto(n, adj)
+
+
+def bench_keys(mod, bricks):
+    for n, adj in bricks:
+        mod.canon_auto(n, adj)
 
 
 def bench_pms(mod, graphs):
@@ -205,12 +216,13 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    asked, labeled = _generation_children(8)
+    asked, labeled, keys = _generation_children(8)
     top_level = list(generate_all_graphs(8, min_degree=3, connected=True))
     twins = [
         ("canonical labeling", bench_canon, _random_graphs(1, 400, 8, 14)),
         ("canonical child", bench_child, asked),
         ("generation labeling", bench_gen_canon, labeled),
+        ("census keys", bench_keys, keys),
         ("matching enumeration", bench_pms, _random_graphs(2, 150, 8, 12)),
     ]
     python_only = [

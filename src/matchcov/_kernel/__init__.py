@@ -17,12 +17,14 @@ the kernel per child.  Only under the Python kernel does it start with the
 root pretest (pykernel.root_pretest), which has no compiled twin, since a
 Python pretest costs more than a C labeling: over the 4,730 children of
 the census's generation to n=8, the canonical child line of
-benchmarks/bench_kernels.py reads 185-215 ms under the Python kernel,
-120-135 ms of it in the 1,470 labelings (the generation labeling line), and
-17-22 ms under the compiled kernel, which labels all of them (eight runs on
-one 2-vCPU virtual machine, at the benchmark's reference speed).  A C twin of the pretest would save the
-labelings of rejected children and of the top-level children the census
-never keys.
+benchmarks/bench_kernels.py reads 165-181 ms under the Python kernel,
+87-101 ms of it in the 1,470 labelings (the generation labeling line), and
+20-22 ms under the compiled kernel, which labels all of them.  The census
+keys line, the 1,502 top-level bricks generation leaves unlabeled, reads
+83-92 ms under the Python kernel and 4-5 ms under the compiled one (eight
+runs on one 2-vCPU virtual machine, at the benchmark's reference speed).  A
+C twin of the pretest would save the labelings of rejected children and of
+the top-level children the census never keys.
 """
 
 import os

@@ -17,20 +17,24 @@ refines only against the cells that split (McKay & Piperno, "Practical graph
 isomorphism II", 2014).  The neighbor counts into a cell come for all
 vertices at once, as bit planes summed by a ripple-carry adder over the
 cell's adjacency rows, and a cell splits on one plane at a time, which
-orders its parts as sorting by the counts would.  After search
-individualizes a vertex, the first round is a split by adjacency to it.
-This is exact, not a heuristic: it yields the same ordered partition as
-recounting every cell, because in an equitable coloring the counts into a
-cell that did not split are equal across each new cell (see _refine and
+orders its parts as sorting by the counts would; the counts into a
+singleton cell are 0 or 1, so its one plane is its adjacency row.  After
+search individualizes a vertex, the first round is a split by adjacency to
+it.  This is exact, not a heuristic: it yields the same ordered partition
+as recounting every cell, because in an equitable coloring the counts into
+a cell that did not split are equal across each new cell (see _refine and
 _individualize).  So the certificates, perms, orbits and generators, in
 their order, are those of ckernel.c's full recount, whose search prunes
-alike (see canon_auto).
+alike (see canon_auto).  The search compares its leaves' certificates as
+ints, and only the certificate it returns is packed into bytes.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
   * matchings are int bitmasks over edge indices;
   * canonical certificates are bytes; equal certs <=> isomorphic simple graphs.
 """
+
+from functools import cache
 
 BACKEND_NAME = "py"
 
@@ -65,13 +69,14 @@ def _refine(adj, cells, changed):
 
     Each round splits every cell on its own, in order, by its members'
     neighbor counts into the `changed` cells, and a cell whose members all
-    agree stays whole.  The counts come as bit planes (_count_planes), and a
-    cell splits on one plane at a time, from the most significant plane of
-    the first changed cell down to the least significant one of the last,
-    the members with the bit clear first.  So the parts come out sorted by
-    the tuple of counts, as a sort on that tuple would order them.  The
-    caller names the changed cells of the first round (root_cells names
-    them all); after it, they are the parts of the cells that split.
+    agree stays whole.  The counts come as bit planes (_count_planes; a
+    singleton changed cell's one plane is its row), and a cell splits on one
+    plane at a time, from the most significant plane of the first changed
+    cell down to the least significant one of the last, the members with the
+    bit clear first.  So the parts come out sorted by the tuple of counts,
+    as a sort on that tuple would order them.  The caller names the changed
+    cells of the first round (root_cells names them all); after it, they are
+    the parts of the cells that split.
 
     This is the splitting-cell refinement of McKay & Piperno ("Practical
     graph isomorphism II", 2014), and it yields the same ordered partition
@@ -88,8 +93,14 @@ def _refine(adj, cells, changed):
 
 def _split(adj, cells, changed):
     """One round of _refine: the cells split by their members' counts into
-    the changed cells, and the parts of the cells that split."""
-    planes = [p for m in changed for p in reversed(_count_planes(adj, m))]
+    the changed cells, and the parts of the cells that split.  The counts
+    into a singleton {w} are 0 or 1, so its one plane is the row adj[w]."""
+    planes = []
+    for m in changed:
+        if m & (m - 1):
+            planes += reversed(_count_planes(adj, m))
+        else:
+            planes.append(adj[m.bit_length() - 1])
     out = []
     split = []
     for cell in cells:
@@ -165,16 +176,19 @@ def root_pretest(n, adj, top_level):
         cells, changed = _split(adj, cells, changed)
 
 
-def _cert_bits(n, adj, perm):
-    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    k = 0
+@cache
+def _pair_bits(n):
+    """rows[i][j], for canonical positions i != j: the certificate bit of
+    the pair, 1 << (L-1-k) for the k-th pair (i, j), i < j, in row order,
+    where L = n(n-1)/2.  So certificates compare as ints as their L-bit
+    big-endian strings do."""
+    top = n * (n - 1) // 2
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        ai = adj[perm[i]]
         for j in range(i + 1, n):
-            if ai >> perm[j] & 1:
-                bits[k >> 3] |= 0x80 >> (k & 7)
-            k += 1
-    return bytes([n]) + bytes(bits)
+            top -= 1
+            rows[i][j] = rows[j][i] = 1 << top
+    return tuple(map(tuple, rows))
 
 
 def canon_auto(n, adj, cells=None):
@@ -201,6 +215,12 @@ def canon_auto(n, adj, cells=None):
     one automorphism into each child it tries in the first child's orbit),
     so neither do the orbits.
 
+    A leaf's certificate is an int, the OR over the graph's edges of
+    _pair_bits(n)'s bits for their positions, so leaves compare as ints,
+    which order as the fixed-length big-endian bytes would.  Only the best
+    is packed into the returned bytes: n, then the pairs (i, j), i < j, in
+    row order, one bit each from each byte's most significant bit.
+
     cells, when given, must be root_cells(adj), computed once by the
     caller.  The search starts from them, and refinement and
     individualization only split cells, never reorder them.  So perm[-1]
@@ -213,6 +233,8 @@ def canon_auto(n, adj, cells=None):
     if cells is None:
         cells = root_cells(adj)
 
+    rows = _pair_bits(n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
     best = [None, None]        # cert, perm
     first = [None, None, None]  # cert, perm, path
     autos = []                 # discovered automorphisms, as tuples
@@ -236,13 +258,19 @@ def canon_auto(n, adj, cells=None):
         g = tuple(g)
         if g not in autos:
             autos.append(g)
-            for v in range(n):
-                union(v, g[v])
+            for v, w in enumerate(g):
+                if v != w:     # a fixed point joins no orbit
+                    union(v, w)
 
     def handle_leaf(cells, path):
         """Record the leaf; return the depth to jump back to, or None."""
         p = [cell.bit_length() - 1 for cell in cells]   # cells are singletons
-        cert = _cert_bits(n, adj, p)
+        pos = [0] * n
+        for i, v in enumerate(p):
+            pos[v] = i
+        cert = 0
+        for u, v in edges:
+            cert |= rows[pos[u]][pos[v]]
         jump = None
         if first[0] is None:
             first[0], first[1], first[2] = cert, p, path
@@ -287,7 +315,7 @@ def canon_auto(n, adj, cells=None):
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if v in closure(tried, fixed):
+            if tried and autos and v in closure(tried, fixed):
                 continue
             jump = search(_individualize(adj, cells, c0, v), fixed + [v])
             if jump is not None and jump < depth:
@@ -297,7 +325,10 @@ def canon_auto(n, adj, cells=None):
 
     search(cells, [])
     orbits = tuple(find(v) for v in range(n))
-    return best[0], tuple(best[1]), orbits, tuple(autos)
+    pairs = n * (n - 1) // 2
+    size = (pairs + 7) // 8
+    cert = bytes([n]) + (best[0] << 8 * size - pairs).to_bytes(size, "big")
+    return cert, tuple(best[1]), orbits, tuple(autos)
 
 
 # ---------------------------------------------------------------------------

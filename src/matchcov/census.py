@@ -14,10 +14,12 @@ labeling on with the graph, or in the funnel), and its canonical graph6 keys
 its record, the cache and the report order, so reports are byte-stable across
 runs and worker counts.  Leaving the funnel, a brick becomes its cached record
 or what classification takes, so no graph outlives the funnel; input files
-are read one at a time, after generation.  CensusRecord alone holds the row
-schema: a cache hit and classification each give one, and the report and
-cache lines are written from its fields.  The cache is an append-only JSONL
-file, one line per record, without the tags.  Two verdicts are supported:
+are read one at a time, after generation.  The parsed cache rows and the
+generator's kept levels are dropped once the funnel has seen every graph.
+CensusRecord alone holds the row schema: a cache hit and classification
+each give one, and the report and cache lines are written from its fields.
+The cache is an append-only JSONL file, one line per record, without the
+tags.  Two verdicts are supported:
 
   main   among claw-free bricks excluding K4 and the prism, the graphs in
          which every b-invariant edge is solitary must be exactly the wheel
@@ -29,7 +31,6 @@ file, one line per record, without the tags.  Two verdicts are supported:
 """
 
 import json
-import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
@@ -309,12 +310,15 @@ def run_census(cfg):
             feed(f"<generated n={n}>", enumerate(generate_all_graphs(
                 n, min_degree=3, connected=True, augmenter=aug), start=1),
                  generated=True)
+        del aug                 # every kept level and its generators
         max_n_seen = max(max_n_seen, cfg.max_n)
     for path in cfg.inputs:
         feed(path, *ingest_graph6(path))
+    del cache                   # the parsed rows: the hits hold what is read
     skipped.extend(cache_skips)
 
     if cfg.jobs > 1 and payloads:
+        import multiprocessing  # only a pool needs it, and it costs an import
         with multiprocessing.Pool(cfg.jobs) as pool:
             fresh = pool.map(_classify_worker, payloads.values(), chunksize=8)
     else:

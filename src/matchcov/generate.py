@@ -9,11 +9,12 @@ exactly once, with no global seen-set, so the scan order is deterministic
 and levels are cheap to cache.
 
 One loop, CanonicalAugmenter._augment, builds every level.  It runs over
-the neighborhoods s of the new vertex in ascending order and applies the
-cheap tests (the edges min_degree forces, min_degree, the max-degree pretest
-below) before any orbit work.  The parent's automorphisms preserve |s| and
-vertex degrees, so an orbit passes these tests whole or not at all: the first
-s of an orbit to pass is its smallest member, and only that s has its orbit
+the neighborhoods s of the new vertex that hold the edges min_degree forces
+(the supersets of the forced set, _supersets), in ascending order, and
+applies the cheap tests (min_degree, the max-degree pretest below) before
+any orbit work.  The parent's automorphisms preserve |s| and vertex
+degrees, so an orbit passes these tests whole or not at all: the first s of
+an orbit to pass is its smallest member, and only that s has its orbit
 walked and marked seen.  After that walk, one kernel call decides canonical
 deletion.
 
@@ -78,13 +79,14 @@ class CanonicalAugmenter:
             # one when s meets top
             dmax = max(degs)
             top = sum(1 << i for i, d in enumerate(degs) if d == dmax)
+            least = max(min_degree, dmax)
             seen = bytearray(1 << (n - 1))
-            for s in range(1 << (n - 1)):
+            for s in _supersets(forced, (1 << (n - 1)) - 1):
                 # the parent's automorphisms preserve |s|, forced and top, so
                 # each test passes for a whole orbit or for none of it, and the
                 # first s of an orbit to pass is its smallest member
                 k = s.bit_count()
-                if (s & forced) != forced or k < min_degree or seen[s]:
+                if k < least or seen[s]:
                     continue
                 if k < dmax + bool(s & top):
                     continue  # the new vertex cannot be last in canonical order
@@ -127,6 +129,17 @@ class CanonicalAugmenter:
         return [(adj, perm) for adj, _, perm in level
                 if min(a.bit_count() for a in adj) >= min_degree
                 and (not connected or _spans(adj, (1 << n) - 1))]
+
+
+def _supersets(forced, full):
+    """The supersets of forced within full, in ascending order."""
+    free = full ^ forced
+    sub = 0
+    while True:
+        yield forced | sub
+        sub = (sub - free) & free
+        if not sub:
+            return
 
 
 def _check_n(n):

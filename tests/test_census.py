@@ -4,6 +4,8 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -411,10 +413,12 @@ def test_corpus_brick_classes_are_pinned():
 
 
 def _graphs_alive_when_tagging(monkeypatch, cfg):
-    """How many Graph instances born in run_census(cfg) are alive when it
-    tags its first record, after the funnel and classification."""
+    """How many Graph and CanonicalAugmenter instances born in
+    run_census(cfg) are alive when it tags its first record, after the
+    funnel and classification."""
+    kinds = (Graph, CanonicalAugmenter)
     gc.collect()
-    before = [o for o in gc.get_objects() if type(o) is Graph]   # kept, so ids stay theirs
+    before = [o for o in gc.get_objects() if type(o) in kinds]   # kept, so ids stay theirs
     old = set(map(id, before))
     alive = []
     tagged = census._tagged
@@ -422,7 +426,8 @@ def _graphs_alive_when_tagging(monkeypatch, cfg):
     def counting(rec, summary):
         if not alive:
             gc.collect()
-            alive.append(sum(type(o) is Graph and id(o) not in old for o in gc.get_objects()))
+            born = [o for o in gc.get_objects() if type(o) in kinds and id(o) not in old]
+            alive.append(tuple(sum(type(o) is kind for o in born) for kind in kinds))
         return tagged(rec, summary)
 
     with monkeypatch.context() as m:
@@ -432,13 +437,28 @@ def _graphs_alive_when_tagging(monkeypatch, cfg):
 
 
 def test_no_graph_outlives_the_funnel(tmp_path, monkeypatch):
-    """A brick leaves the funnel as its record or its classification payload:
-    neither the warm thm11 census to n=8 nor the corpus census keeps a graph."""
+    """A brick leaves the funnel as its record or its classification payload,
+    and the level cache goes when generation ends: neither the warm thm11
+    census to n=8 nor the corpus census keeps a graph or an augmenter."""
     cfg = CensusConfig(max_n=8, checks=("thm11",), cache_path=str(tmp_path / "c.jsonl"))
     run_census(cfg)
-    assert _graphs_alive_when_tagging(monkeypatch, cfg) == 0
+    assert _graphs_alive_when_tagging(monkeypatch, cfg) == (0, 0)
     corpus = CensusConfig(inputs=(str(CORPUS),), checks=("thm11",))
-    assert _graphs_alive_when_tagging(monkeypatch, corpus) == 0
+    assert _graphs_alive_when_tagging(monkeypatch, corpus) == (0, 0)
+
+
+def test_census_imports_no_process_pool():
+    """A --jobs 1 census never starts a pool, so importing the census and
+    the command line does not import multiprocessing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, matchcov.census, matchcov.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_the_cache_may_not_be_an_input(tmp_path):

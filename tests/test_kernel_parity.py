@@ -97,6 +97,38 @@ def test_canon_parity_symmetric_graphs(ckernel):
         assert pykernel.canon_auto(n, adj) == ckernel.canon_auto(n, adj)
 
 
+def _reference_cert(n, adj, perm):
+    """The certificate of adj under perm, packed pair by pair: n, then bit k
+    of the bytes after it, from the most significant bit of each byte, set
+    when the vertices at the k-th pair of positions (i, j), i < j, in row
+    order, are adjacent."""
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    k = 0
+    for i in range(n):
+        ai = adj[perm[i]]
+        for j in range(i + 1, n):
+            if ai >> perm[j] & 1:
+                bits[k >> 3] |= 0x80 >> (k & 7)
+            k += 1
+    return bytes([n]) + bytes(bits)
+
+
+def test_canon_cert_is_the_packed_adjacency_of_its_perm():
+    """canon_auto compares its leaves as integers and packs only the best
+    one: the bytes are those of the pair-by-pair packing under its perm, also
+    past the compiled kernel's 16 vertices, where no parity test reaches."""
+    petersen = catalog("PETERSEN")
+    graphs = [(n, _adj(n, edges)) for n, edges in _cases(461, 300, max_n=24)]
+    graphs += [(n, _adj(n, [(v, (v + 1) % n) for v in range(n)])) for n in range(3, 25)]
+    graphs += [(n, _adj(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
+               for n in range(1, 25)]
+    graphs += [(16, _adj(16, [(u, v) for u in range(8) for v in range(8, 16)])),
+               (petersen.n, petersen.adj)]
+    for n, adj in graphs:
+        cert, perm, _, _ = pykernel.canon_auto(n, adj)
+        assert cert == _reference_cert(n, adj, perm), (n, adj)
+
+
 def _group_order(n, gens):
     """Order of the permutation group generated by gens, closed from the
     identity."""
@@ -397,6 +429,7 @@ def test_kernel_benchmark_script_runs():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     for label in ("canonical labeling", "canonical child", "generation labeling",
-                  "matching enumeration", "claw detection", "brick funnel, direct",
-                  "brick funnel, tables", "matching rank", "decompose"):
+                  "census keys", "matching enumeration", "claw detection",
+                  "brick funnel, direct", "brick funnel, tables", "matching rank",
+                  "decompose"):
         assert label in proc.stdout
