@@ -89,16 +89,18 @@ def canonical_child(n, adj, top_level):
             return None
         if cells is True:
             return None, None
-    _, perm, orbits, gens = canon_auto(n, adj, cells)
+    perm, orbits, gens = canon_auto(n, adj, cells)
     if orbits[n - 1] != orbits[perm[n - 1]]:
         return None
     return gens, perm
 
 
 def canon_auto(n, adj, cells=None):
-    """cells: pykernel.root_cells(adj), as canonical_child hands them on, or
-    None.  The compiled kernel computes its own, and so does its Python
-    fallback, since canonical_child gave it none."""
+    """(perm, orbits, gens) of the simple graph with neighbor bitmasks adj;
+    see pykernel.canon_auto.  cells: pykernel.root_cells(adj), as
+    canonical_child hands them on, or None.  The compiled kernel computes
+    its own, and so does its Python fallback, since canonical_child gave it
+    none."""
     if _impl is _py:
         return _py.canon_auto(n, adj, cells)
     if n > _C_MAX_CANON_N:

@@ -1,10 +1,11 @@
 /* Compiled kernel: the C twin of pykernel, written against the CPython API.
 
    It exports canon_auto and enumerate_pms, each with pykernel's signature
-   and byte-identical results: the same certificates, perms, orbits,
-   automorphism generators in discovery order, and perfect matchings in the
-   same order.  Vertex sets are machine words, so each entry has a width,
-   and raises ValueError beyond it rather than write past an array:
+   and identical results: the same canonical perms, orbits, automorphism
+   generators in discovery order, and perfect matchings in the same order.
+   The certificates that order canon_auto's leaves stay inside its search.
+   Vertex sets are machine words, so each entry has a width, and raises
+   ValueError beyond it rather than write past an array:
 
      canon_auto     n <= 16
      enumerate_pms  n <= 32, m <= 128 edges, every endpoint < n
@@ -23,7 +24,7 @@
 #include <string.h>
 
 #define MAX_CANON_N 16
-#define CERTLEN 17              /* 1 length byte + ceil(16*15/2 / 8) */
+#define CERTLEN 15              /* ceil(16*15/2 / 8) */
 #define MAX_MATCH_N 32
 #define MAX_EDGES 128
 
@@ -250,18 +251,17 @@ refine(const Canon *st, int *colors)
 }
 
 /* The upper triangle of the adjacency matrix in the order perm, one bit per
-   pair, after a byte holding n. */
+   pair, so leaves compare by memcmp as pykernel's int certificates do. */
 static void
 make_cert(const Canon *st, const unsigned char *perm, unsigned char *cert)
 {
     int n = st->n, k = 0;
     memset(cert, 0, st->certlen);
-    cert[0] = (unsigned char)n;
     for (int i = 0; i < n; i++) {
         uint32_t ai = st->adj[perm[i]];
         for (int j = i + 1; j < n; j++, k++)
             if (ai >> perm[j] & 1u)
-                cert[1 + (k >> 3)] |= (unsigned char)(0x80 >> (k & 7));
+                cert[k >> 3] |= (unsigned char)(0x80 >> (k & 7));
     }
 }
 
@@ -423,13 +423,11 @@ canon_result(Canon *st)
         else
             PyTuple_SET_ITEM(gens, k, g);
     }
-    PyObject *cert = PyBytes_FromStringAndSize((const char *)st->best_cert, st->certlen);
     PyObject *perm = int_tuple(n, st->best_perm);
     PyObject *orbs = int_tuple(n, orbits);
     PyObject *result = NULL;
-    if (cert != NULL && perm != NULL && orbs != NULL && gens != NULL)
-        result = PyTuple_Pack(4, cert, perm, orbs, gens);
-    Py_XDECREF(cert);
+    if (perm != NULL && orbs != NULL && gens != NULL)
+        result = PyTuple_Pack(3, perm, orbs, gens);
     Py_XDECREF(perm);
     Py_XDECREF(orbs);
     Py_XDECREF(gens);
@@ -438,7 +436,7 @@ canon_result(Canon *st)
 
 PyDoc_STRVAR(canon_auto_doc,
 "canon_auto($module, n, adj, /)\n--\n\n"
-"(cert, perm, orbits, gens); see pykernel.canon_auto.  n <= 16, and adj\n"
+"(perm, orbits, gens); see pykernel.canon_auto.  n <= 16, and adj\n"
 "holds n neighbor masks of n bits each, without loops.");
 
 static PyObject *
@@ -453,9 +451,9 @@ canon_auto(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (masks[v] >> v & 1)
             return PyErr_Format(PyExc_ValueError, "vertex %d is its own neighbor", v);
     if (n == 0)
-        return Py_BuildValue("(y#()()())", "\0", (Py_ssize_t)1);
+        return Py_BuildValue("(()()())");
 
-    Canon st = {.n = n, .certlen = 1 + (n * (n - 1) / 2 + 7) / 8, .jump = -1};
+    Canon st = {.n = n, .certlen = (n * (n - 1) / 2 + 7) / 8, .jump = -1};
     int colors[MAX_CANON_N];
     for (int v = 0; v < n; v++) {
         st.adj[v] = (uint32_t)masks[v];
@@ -574,7 +572,7 @@ static PyMethodDef ckernel_methods[] = {
 static struct PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "matchcov._kernel.ckernel",
-    .m_doc = "Compiled kernel: byte-compatible twin of pykernel.",
+    .m_doc = "Compiled kernel: the twin of pykernel.",
     .m_size = -1,
     .m_methods = ckernel_methods,
 };

@@ -1,7 +1,7 @@
 """Pure-Python kernel: canonical labeling, perfect-matching search, hot predicates.
 
 The compiled kernel (ckernel.c) provides canon_auto and enumerate_pms with
-byte-identical results, within its widths.  root_cells, root_pretest,
+identical results, within its widths.  root_cells, root_pretest,
 is_claw_free and first_tight_cut exist only here; first_tight_cut has no
 caller, and stays only because the benchmark's layer tracer names it.
 root_pretest starts _kernel.canonical_child under this kernel.  There is no
@@ -9,7 +9,7 @@ counting twin: a count is the length of enumerate_pms's list, and the
 dispatch's count_pms, which only the tracer names, is that one line.
 Everything here works on primitive data: a vertex count plus either
 per-vertex neighbor bitmasks (simple adjacency) or parallel edge-endpoint
-arrays, so both backends stay byte-compatible and the rest of the package
+arrays, so both backends stay compatible and the rest of the package
 never touches backend details.
 
 Canonical labeling keeps its partitions as lists of cell bitmasks and
@@ -23,15 +23,17 @@ search individualizes a vertex, the first round is a split by adjacency to
 it.  This is exact, not a heuristic: it yields the same ordered partition
 as recounting every cell, because in an equitable coloring the counts into
 a cell that did not split are equal across each new cell (see _refine and
-_individualize).  So the certificates, perms, orbits and generators, in
-their order, are those of ckernel.c's full recount, whose search prunes
-alike (see canon_auto).  The search compares its leaves' certificates as
-ints, and only the certificate it returns is packed into bytes.
+_individualize).  So the perms, orbits and generators, in their order, are
+those of ckernel.c's full recount, whose search prunes alike (see
+canon_auto).  The search orders its leaves by certificates, ints that stay
+inside it: a labeling is its perm, and graph.canonical_graph6 is the one
+encoding of the relabeled graph.
 
 Conventions:
   * vertex sets and adjacency rows are int bitmasks (bit v = vertex v);
   * matchings are int bitmasks over edge indices;
-  * canonical certificates are bytes; equal certs <=> isomorphic simple graphs.
+  * isomorphic simple graphs have the same adjacency under their canonical
+    perms, and only they do.
 """
 
 from functools import cache
@@ -192,12 +194,12 @@ def _pair_bits(n):
 
 
 def canon_auto(n, adj, cells=None):
-    """Canonical certificate of a simple graph given as neighbor bitmasks.
+    """Canonical labeling of a simple graph given as neighbor bitmasks.
 
-    Returns (cert, perm, orbits, gens): cert is permutation-invariant bytes,
-    perm[i] is the vertex placed at canonical position i, orbits[v] is the
-    least vertex of v's automorphism orbit, and gens is the list of
-    automorphisms discovered by the search (they generate the full group).
+    Returns (perm, orbits, gens): perm[i] is the vertex placed at canonical
+    position i, orbits[v] is the least vertex of v's automorphism orbit, and
+    gens is the list of automorphisms discovered by the search (they
+    generate the full group).
 
     The search individualizes each vertex of the first non-singleton cell in
     turn, in vertex order, and skips a vertex in the orbit of those tried
@@ -209,17 +211,15 @@ def canon_auto(n, adj, cells=None):
     2014): the automorphism maps the first path's subtree at that node onto
     the current child's, so the rest of the child's subtree repeats leaves
     already seen.  The best leaf, the first one in search order with the
-    least certificate, is never in a skipped subtree, so cert and perm do
-    not depend on the pruning; and the automorphisms found still generate
+    least certificate, is never in a skipped subtree, so perm does not
+    depend on the pruning; and the automorphisms found still generate
     the group (each first-path node finds its stabilizer's generators and
     one automorphism into each child it tries in the first child's orbit),
     so neither do the orbits.
 
     A leaf's certificate is an int, the OR over the graph's edges of
     _pair_bits(n)'s bits for their positions, so leaves compare as ints,
-    which order as the fixed-length big-endian bytes would.  Only the best
-    is packed into the returned bytes: n, then the pairs (i, j), i < j, in
-    row order, one bit each from each byte's most significant bit.
+    as ckernel.c compares its packed bytes.
 
     cells, when given, must be root_cells(adj), computed once by the
     caller.  The search starts from them, and refinement and
@@ -229,7 +229,7 @@ def canon_auto(n, adj, cells=None):
     _kernel.canonical_child).
     """
     if n == 0:
-        return b"\x00", (), (), ()
+        return (), (), ()
     if cells is None:
         cells = root_cells(adj)
 
@@ -324,11 +324,7 @@ def canon_auto(n, adj, cells=None):
         return None
 
     search(cells, [])
-    orbits = tuple(find(v) for v in range(n))
-    pairs = n * (n - 1) // 2
-    size = (pairs + 7) // 8
-    cert = bytes([n]) + (best[0] << 8 * size - pairs).to_bytes(size, "big")
-    return cert, tuple(best[1]), orbits, tuple(autos)
+    return tuple(best[1]), tuple(find(v) for v in range(n)), tuple(autos)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ tags.  Two verdicts are supported:
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .catalog import FAMILY_G, catalog
 from .edges import classify_all
@@ -131,18 +131,20 @@ def ingest_graph6(path):
     return graphs, skips
 
 
+@cache
+def _catalog_key(name):
+    """Canonical graph6 of a catalog graph, labeled once per process."""
+    return canonical_graph6(catalog(name))
+
+
 def _excluded_g6(names):
-    return {canonical_graph6(catalog(name)) for name in names}
+    return {_catalog_key(name) for name in names}
 
 
 def family_g_certs(max_n=None):
     """Canonical graph6 of the wheel family, restricted to the census range."""
-    out = []
-    for name in FAMILY_G:
-        g = catalog(name)
-        if max_n is None or g.n <= max_n:
-            out.append(canonical_graph6(g))
-    return tuple(sorted(out))
+    return tuple(sorted(_catalog_key(name) for name in FAMILY_G
+                        if max_n is None or catalog(name).n <= max_n))
 
 
 def _classify_worker(payload):

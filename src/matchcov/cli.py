@@ -17,8 +17,7 @@ from .catalog import entry as catalog_entry
 from .catalog import names as catalog_names
 from .census import CensusConfig, emit_report, run_census, same_file
 from .edges import classify_all
-from .errors import (CapacityError, CatalogError, Graph6Error, GraphBuildError,
-                     MatchcovError, PreconditionError)
+from .errors import CapacityError, CatalogError, Graph6Error, MatchcovError
 from .generate import MAX_GENERATED_N
 from .graph import (delete_edge, is_bipartite, is_claw_free, is_connected,
                     is_three_connected, parse_graph6, to_graph6, underlying_simple)
@@ -231,8 +230,7 @@ def main(argv=None):
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (CatalogError, Graph6Error, GraphBuildError, PreconditionError, MatchcovError,
-            OSError) as exc:
+    except (MatchcovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -15,6 +15,7 @@ from . import _kernel
 from .errors import CapacityError, Graph6Error, GraphBuildError
 
 MAX_EXACT_N = 32
+MAX_GRAPH6_N = 63 * 4096 - 1   # long header: '~', then n in three 6-bit bytes, the first not '~'
 
 
 def _check_size(g):
@@ -46,7 +47,7 @@ class Graph:
         accepts unlabeled is labeled here only when asked, as the census
         asks for the graphs it keys.
         """
-        return _kernel.canon_auto(self.n, self.adj)[1]
+        return _kernel.canon_auto(self.n, self.adj)[0]
 
     @cached_property
     def perfect_matchings(self):
@@ -107,7 +108,7 @@ def build(n, pairs):
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short format, n <= 62)
+# graph6 (n <= 258,047: the short header to n = 62, the long one past it)
 # ---------------------------------------------------------------------------
 
 def parse_graph6(text):
@@ -156,8 +157,8 @@ def parse_graph6(text):
 def _graph6(n, adj, order):
     """graph6 line of the simple graph with neighbor bitmasks adj, vertex
     order[i] written as vertex i."""
-    if n > 62:
-        raise CapacityError(f"graph6 short format supports n <= 62, got {n}")
+    if n > MAX_GRAPH6_N:
+        raise CapacityError(f"graph6 supports n <= {MAX_GRAPH6_N}, got {n}")
     nbits = n * (n - 1) // 2
     bits = 0
     for j in range(1, n):
@@ -166,21 +167,22 @@ def _graph6(n, adj, order):
             bits = (bits << 1) | (row >> order[i] & 1)
     need = (nbits + 5) // 6
     bits <<= 6 * need - nbits
-    out = [n + 63]
+    out = [n + 63] if n <= 62 else [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     for k in range(need - 1, -1, -1):
         out.append(((bits >> (6 * k)) & 63) + 63)
     return bytes(out).decode("ascii")
 
 
 def to_graph6(g):
-    """Encode a simple graph with n <= 62 as a graph6 line."""
+    """Encode a simple graph as a graph6 line."""
     if not g.is_simple():
         raise Graph6Error("multigraph not representable in graph6")
     return _graph6(g.n, g.adj, range(g.n))
 
 
 def canonical_graph6(g):
-    """graph6 of the canonically relabeled simple view (census cache key)."""
+    """graph6 of the canonically relabeled simple view: the package's one
+    canonical key (census cache key, canonical_form, isomorphism)."""
     return _graph6(g.n, g.adj, g.canonical_perm)
 
 
@@ -363,15 +365,14 @@ def is_claw_free(g):
 
 
 def canonical_form(g):
-    """Certificate bytes of the underlying simple graph (multiplicities ignored)."""
-    return _kernel.canon_auto(g.n, g.adj)[0]
+    """canonical_graph6(g), which ignores multiplicities; equal keys <=>
+    isomorphic simple views."""
+    return canonical_graph6(g)
 
 
 def automorphism_orbits(g):
-    return _kernel.canon_auto(g.n, g.adj)[2]
+    return _kernel.canon_auto(g.n, g.adj)[1]
 
 
 def is_isomorphic(g1, g2):
-    if g1.n != g2.n:
-        return False
-    return canonical_form(g1) == canonical_form(g2)
+    return g1.n == g2.n and canonical_graph6(g1) == canonical_graph6(g2)

@@ -17,7 +17,7 @@ instead (see edges.py); decompose serves the CLI, the selftest and tests.
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graph import (_components, _reach, _two_separator, canonical_form, contract,
+from .graph import (_components, _reach, _two_separator, canonical_graph6, contract,
                     is_bipartite)
 from .matching import _covered_memo, _existence_memo, _unmatched
 
@@ -40,8 +40,9 @@ class DecompositionResult:
     trace: tuple       # cuts chosen, one per contraction step
 
     def certificates(self):
-        """Multiset of piece certificates, sorted; labels every piece."""
-        return tuple(sorted(canonical_form(h) for h, _ in self.pieces))
+        """The pieces' canonical graph6 keys, sorted; each piece is labeled
+        once, on the first call."""
+        return tuple(sorted(canonical_graph6(h) for h, _ in self.pieces))
 
 
 def make_cut(g, x):

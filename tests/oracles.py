@@ -137,19 +137,17 @@ def nx_matching_covered(h):
     return covered == {(min(u, v), max(u, v)) for u, v in h.edges()}
 
 
-def _nx_tight_cuts(h):
-    pms = nx_pms(h)
+def _nx_tight_cuts(h, pms=None):
+    if pms is None:
+        pms = nx_pms(h)
     nodes = sorted(h.nodes())
     n = len(nodes)
     found = []
     for r in range(3, n // 2 + 1, 2):
         for xs in itertools.combinations(nodes, r):
             xset = set(xs)
-            crossings = []
-            for m in pms:
-                crossings.append(sum(
-                    1 for u, v in m if (u in xset) != (v in xset)))
-            if all(c == 1 for c in crossings):
+            if all(sum(1 for u, v in m if (u in xset) != (v in xset)) == 1
+                   for m in pms):
                 found.append(xset)
     return found
 
@@ -159,7 +157,7 @@ def nx_b_count(h):
     pms = nx_pms(h)
     if not pms:
         return 0
-    cuts = _nx_tight_cuts(h)
+    cuts = _nx_tight_cuts(h, pms)
     if not cuts:
         return 0 if nx.is_bipartite(h) else 1
     xset = cuts[0]
@@ -203,6 +201,21 @@ def nx_every_b_invariant_solitary(h):
         if sum(1 for m in pms if (u, v) in m) != 1:
             return False
     return True
+
+
+def nx_edge_counts(h):
+    """(b-invariant, solitary) edge counts of a simple matching covered graph:
+    e is b-invariant when G-e is matching covered and b(G-e) = b(G), and
+    solitary when exactly one perfect matching holds it."""
+    pms = nx_pms(h)
+    b_of_g = nx_b_count(h)
+    b_invariant = solitary = 0
+    for u, v in {(min(u, v), max(u, v)) for u, v in h.edges()}:
+        h.remove_edge(u, v)     # and back, below: h is G-e meanwhile
+        b_invariant += nx_matching_covered(h) and nx_b_count(h) == b_of_g
+        h.add_edge(u, v)
+        solitary += sum(1 for m in pms if (u, v) in m) == 1
+    return b_invariant, solitary
 
 
 def ref_refine(n, adj, colors):

@@ -23,6 +23,8 @@ from matchcov.generate import CanonicalAugmenter, _adj_to_graph, generate_all_gr
 from matchcov.graph import Graph, canonical_graph6, is_three_connected, parse_graph6
 from matchcov.matching import is_brick
 
+import oracles
+
 # the fifth claw-free brick with the all-b-invariant-edges-solitary property:
 # K6 minus the four edges 0-1, 0-2, 1-3, 4-5 (see README "A genuine finding");
 # its presence is why the pinned four-graph expectation fails
@@ -123,6 +125,18 @@ def test_census_main_verdict_finds_fifth_graph():
     assert extra.b_invariant == 4 and extra.solitary == 4
     assert extra.every_b_invariant_solitary
     assert "every-b-invariant-solitary" in extra.tags
+
+
+def test_claw_free_bricks_to_n8_agree_with_the_oracles():
+    """Each of the 373 claw-free bricks of the census to n=8, not only the
+    survivors: its b-invariant and solitary counts and its verdict, as
+    tests/oracles.py computes them by brute force over networkx graphs."""
+    _, records = run_census(CensusConfig(max_n=8, claw_free_only=True, checks=("main",)))
+    assert len(records) == 373
+    for rec in records:
+        h = oracles.to_nx(parse_graph6(rec.g6))
+        assert oracles.nx_edge_counts(h) == (rec.b_invariant, rec.solitary), rec.g6
+        assert oracles.nx_every_b_invariant_solitary(h) == rec.every_b_invariant_solitary, rec.g6
 
 
 def test_expected_set_override_controls_the_verdict(monkeypatch):
@@ -269,7 +283,9 @@ def test_report_bytes_are_pinned():
 
 @pytest.fixture
 def labeled(monkeypatch):
-    """(n, adjacency) of each canon_auto call, in call order."""
+    """(n, adjacency) of each canon_auto call, in call order, from a process
+    that has labeled no catalog key yet."""
+    census._catalog_key.cache_clear()
     calls = []
     labeler = matchcov._kernel.canon_auto
 
@@ -282,15 +298,23 @@ def labeled(monkeypatch):
 
 
 def test_each_brick_is_labeled_once(tmp_path, labeled):
-    """Classifying a brick adds no canonical label to the funnel's one."""
+    """Classifying a brick adds no canonical label to the funnel's one, and
+    the catalog keys are labeled once per process."""
     cfg = CensusConfig(max_n=6, claw_free_only=True, checks=("main",),
                        cache_path=str(tmp_path / "cache.jsonl"))
     _, cold = run_census(cfg)
     cold_calls = len(labeled)
     labeled.clear()
+    census._catalog_key.cache_clear()
     _, warm = run_census(cfg)
     assert warm == cold
     assert len(labeled) == cold_calls
+    # a second census in the process labels no catalog key again
+    warm_calls = Counter(labeled)
+    labeled.clear()
+    run_census(cfg)
+    assert warm_calls - Counter(labeled) == Counter(
+        (catalog(name).n, catalog(name).adj) for name in ("K4", "C6BAR") + FAMILY_G)
 
 
 def test_generated_survivors_are_labeled_only_in_generation(labeled):
@@ -316,7 +340,7 @@ def test_generated_survivors_are_labeled_only_in_generation(labeled):
     assert not catalog_adj & set(unlabeled)
     rest = extra - unlabeled
     assert set(rest) <= catalog_adj
-    assert sum(rest.values()) <= len(keys) + 2    # K4 and C6BAR serve both checks
+    assert sum(rest.values()) <= len(keys)       # each catalog key once
 
 
 def test_generated_census_augments_each_level_once(labeled):
@@ -329,8 +353,8 @@ def test_generated_census_augments_each_level_once(labeled):
     generated = Counter(labeled)
     labeled.clear()
     run_census(CensusConfig(max_n=7, checks=("thm11",)))
-    # thm11's exceptions, and the trivial bricks every census excludes
-    keys = ("K4", "C6BAR", "R8", "PETERSEN", "K4", "C6BAR")
+    # thm11's exceptions, among them the trivial bricks every census excludes
+    keys = ("K4", "C6BAR", "R8", "PETERSEN")
     unlabeled = Counter((6, adj) for adj, perm in top
                         if perm is None and is_brick(_adj_to_graph(adj, perm)))
     assert Counter(labeled) == generated + unlabeled + Counter(

@@ -258,9 +258,10 @@ def test_isomorphism_matches_permutation_search():
 
 
 def test_canonical_form_is_relabeling_invariant():
+    """Also past the compiled kernel's 16 vertices, where only Python labels."""
     rng = random.Random(67)
     for _ in range(100):
-        n = rng.randrange(1, 11)
+        n = rng.randrange(1, 25)
         edges = oracles.random_simple_graph(rng, n, 0.4)
         perm = list(range(n))
         rng.shuffle(perm)
@@ -276,8 +277,9 @@ def test_canonical_form_is_relabeling_invariant():
 def test_canonical_graph6_is_the_canonically_relabeled_simple_view():
     """canonical_graph6 packs the adjacency in canonical order: the line of
     the simple view relabeled canonically, on random graphs with n = 0-16,
-    contracted multigraphs and the catalog graphs.  Beyond n = 62 both
-    encoders refuse."""
+    contracted multigraphs and the catalog graphs, and on paths past the
+    short header's 62 vertices, which parse back to themselves.  Past the
+    long header's 258,047 vertices the encoder refuses."""
     rng = random.Random(613)
     graphs = [build(n, oracles.random_simple_graph(rng, n, rng.uniform(0.2, 0.8)))
               for n in range(17) for _ in range(40)]
@@ -287,17 +289,19 @@ def test_canonical_graph6_is_the_canonically_relabeled_simple_view():
         graphs.append(contract(g, rng.sample(range(n), rng.randrange(2, n)))[0])
     graphs += [catalog(name) for name in names()]
     assert sum(not g.is_simple() for g in graphs) > 50
-    for g in graphs:
+    paths = [build(n, [(v, v + 1) for v in range(n - 1)]) for n in (63, 100, 256)]
+    for g in graphs + paths:
         pos = [0] * g.n
         for i, v in enumerate(g.canonical_perm):
             pos[v] = i
         relabeled = _relabeled(underlying_simple(g), pos, g.n)
         assert canonical_graph6(g) == to_graph6(relabeled) == oracles.ref_graph6(
             g.n, relabeled.edges)
-    path = build(63, [(v, v + 1) for v in range(62)])
-    for encode in (to_graph6, canonical_graph6):
-        with pytest.raises(CapacityError):
-            encode(path)
+    for g in paths:
+        assert to_graph6(g) == oracles.ref_graph6(g.n, g.edges)
+        assert parse_graph6(to_graph6(g)) == g
+    with pytest.raises(CapacityError):    # canonical_graph6 shares the encoder
+        to_graph6(Graph(258048, ()))
 
 
 def test_automorphism_orbits():

@@ -1,4 +1,4 @@
-"""The compiled kernel and its pure-Python twin must agree byte for byte.
+"""The compiled kernel and its pure-Python twin must give identical results.
 
 When the extension is not importable, the committed ckernel.c is compiled
 into a temporary directory and loaded from there without registering it, so
@@ -29,7 +29,7 @@ import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
-DRAW_LABELINGS_DIGEST = "d2dea3f6bfa50269e9badb9770ec1c4c4984c804819b7b7c7ee7b19319c86b94"
+DRAW_LABELINGS_DIGEST = "58aa7c38b0c7204f15a563938771a22fc3643d3b820aec8f2adcd4f7f0d390b7"
 
 
 @pytest.fixture(scope="session")
@@ -74,9 +74,8 @@ def test_canon_parity(ckernel):
     # n = 15 and 16 fill the 16-bit vertex masks
     for n, edges in [*_cases(401, 300), *_cases(437, 30, max_n=16, min_n=15)]:
         adj = _adj(n, edges)
-        pc, pp, po, pg = pykernel.canon_auto(n, adj)
-        cc, cp, co, cg = ckernel.canon_auto(n, adj)
-        assert pc == cc
+        pp, po, pg = pykernel.canon_auto(n, adj)
+        cp, co, cg = ckernel.canon_auto(n, adj)
         assert list(pp) == list(cp)
         assert list(po) == list(co)
         assert pg == cg
@@ -95,38 +94,6 @@ def test_canon_parity_symmetric_graphs(ckernel):
     for n, edges in fixtures:
         adj = _adj(n, edges)
         assert pykernel.canon_auto(n, adj) == ckernel.canon_auto(n, adj)
-
-
-def _reference_cert(n, adj, perm):
-    """The certificate of adj under perm, packed pair by pair: n, then bit k
-    of the bytes after it, from the most significant bit of each byte, set
-    when the vertices at the k-th pair of positions (i, j), i < j, in row
-    order, are adjacent."""
-    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    k = 0
-    for i in range(n):
-        ai = adj[perm[i]]
-        for j in range(i + 1, n):
-            if ai >> perm[j] & 1:
-                bits[k >> 3] |= 0x80 >> (k & 7)
-            k += 1
-    return bytes([n]) + bytes(bits)
-
-
-def test_canon_cert_is_the_packed_adjacency_of_its_perm():
-    """canon_auto compares its leaves as integers and packs only the best
-    one: the bytes are those of the pair-by-pair packing under its perm, also
-    past the compiled kernel's 16 vertices, where no parity test reaches."""
-    petersen = catalog("PETERSEN")
-    graphs = [(n, _adj(n, edges)) for n, edges in _cases(461, 300, max_n=24)]
-    graphs += [(n, _adj(n, [(v, (v + 1) % n) for v in range(n)])) for n in range(3, 25)]
-    graphs += [(n, _adj(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
-               for n in range(1, 25)]
-    graphs += [(16, _adj(16, [(u, v) for u in range(8) for v in range(8, 16)])),
-               (petersen.n, petersen.adj)]
-    for n, adj in graphs:
-        cert, perm, _, _ = pykernel.canon_auto(n, adj)
-        assert cert == _reference_cert(n, adj, perm), (n, adj)
 
 
 def _group_order(n, gens):
@@ -160,7 +127,7 @@ def _assert_generators_span_the_group(kernel):
         h.add_nodes_from(range(n))
         h.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1)
         autos = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
-        assert _group_order(n, kernel.canon_auto(n, adj)[3]) == autos, (n, adj)
+        assert _group_order(n, kernel.canon_auto(n, adj)[2]) == autos, (n, adj)
 
 
 def test_generators_span_the_automorphism_group():
@@ -191,7 +158,7 @@ def _draw_labelings(monkeypatch):
 
 
 def test_draw_labelings_are_pinned(ckernel, monkeypatch):
-    """Certificates, perms and orbits of every graph the census's draw to
+    """The perms, orbits and generators of every graph the census's draw to
     n=8 labels, under both kernels, are pinned by digest."""
     labelings = _draw_labelings(monkeypatch)
     assert len(labelings) == 1470 + 1827
@@ -200,7 +167,7 @@ def test_draw_labelings_are_pinned(ckernel, monkeypatch):
         for n, adj, cells in labelings:
             result = (pykernel.canon_auto(n, adj, cells) if kernel is pykernel
                       else ckernel.canon_auto(n, adj))
-            digest.update(repr(result[:3]).encode())
+            digest.update(repr(result).encode())
         assert digest.hexdigest() == DRAW_LABELINGS_DIGEST, kernel.BACKEND_NAME
 
 
@@ -213,7 +180,7 @@ def _assert_last_position_has_max_degree(kernel):
     # canonical_child rejects every child whose new vertex is outside the
     # last root cell, and that cell holds only vertices of maximum degree
     for n, adj in _graphs_to_label():
-        _, perm, orbits, _ = kernel.canon_auto(n, adj)
+        perm, orbits, _ = kernel.canon_auto(n, adj)
         last = pykernel.root_cells(adj)[-1]
         assert adj[perm[-1]].bit_count() == max(a.bit_count() for a in adj)
         assert all(last >> v & 1 for v in range(n) if orbits[v] == orbits[perm[-1]])
@@ -297,7 +264,7 @@ def test_canonical_child_keeps_what_the_orbit_test_keeps(ckernel, monkeypatch):
     passes the same test."""
     for n, edges in _cases(457, 600, max_n=10):
         adj = _adj(n, edges)
-        _, perm, orbits, gens = pykernel.canon_auto(n, adj)
+        perm, orbits, gens = pykernel.canon_auto(n, adj)
         want = (gens, perm) if orbits[n - 1] == orbits[perm[n - 1]] else None
         for kernel in (pykernel, ckernel):
             monkeypatch.setattr(_kernel, "_impl", kernel)
@@ -334,7 +301,7 @@ def test_compiled_dispatch_labels_without_root_colors(ckernel, monkeypatch):
     rng = random.Random(433)
     for n in range(_kernel._C_MAX_CANON_N - 2, _kernel._C_MAX_CANON_N + 4):
         adj = _adj(n, oracles.random_simple_graph(rng, n, 0.5))
-        assert _kernel.canon_auto(n, adj, [(1 << n) - 1])[:3] == pykernel.canon_auto(n, adj)[:3]
+        assert _kernel.canon_auto(n, adj, [(1 << n) - 1]) == pykernel.canon_auto(n, adj)
 
 
 def _few_matchings(seed, count):
@@ -391,7 +358,7 @@ def test_compiled_entries_refuse_inputs_past_their_widths(ckernel):
     with pytest.raises(TypeError):
         ckernel.enumerate_pms(2, [0], [1], 0)   # there is no fourth argument
     # the widths themselves are accepted
-    assert ckernel.canon_auto(16, full(16))[0] == pykernel.canon_auto(16, full(16))[0]
+    assert ckernel.canon_auto(16, full(16)) == pykernel.canon_auto(16, full(16))
     assert len(ckernel.enumerate_pms(32, *perfect(32))) == 1
     assert len(ckernel.enumerate_pms(4, *perfect(4, extra=63))) == 64 ** 2
 

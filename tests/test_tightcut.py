@@ -208,6 +208,29 @@ def test_decompose_labels_pieces_only_for_certificates(monkeypatch):
         assert sorted(calls) == sorted(h.n for h, _ in res.pieces)
 
 
+def test_each_graph_is_labeled_once(monkeypatch):
+    """is_isomorphic, canonical_form and certificates() all compare
+    canonical graph6 keys, which read the Graph's one cached labeling: asked
+    again and again, each Graph is labeled once."""
+    calls = []
+    labeler = matchcov._kernel.canon_auto
+
+    def counting(n, adj, cells=None):
+        calls.append((n, adj))
+        return labeler(n, adj, cells)
+
+    monkeypatch.setattr(matchcov._kernel, "canon_auto", counting)
+    w = catalog("W6_PLUSPLUS")
+    g = delete_edge(w, w.edge_index(3, 4))
+    h = build(g.n, [(5 - u, 5 - v) for u, v in g.edges])
+    assert is_isomorphic(g, h) and is_isomorphic(g, h)
+    assert canonical_form(g) == canonical_form(h)
+    res = decompose(g)
+    assert res.certificates() == res.certificates()
+    assert len(res.pieces) == 2
+    assert sorted(calls) == sorted((x.n, x.adj) for x in (g, h, *(p for p, _ in res.pieces)))
+
+
 def _reference_decompose(g):
     """decompose's recursion through the checked find_nontrivial_tight_cut:
     the pieces, as (n, edges), and the trace."""
